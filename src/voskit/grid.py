@@ -4,45 +4,58 @@ Grids are plain 2-D float numpy arrays (row-major, height x width). The
 module provides local weighted means, variances and covariances under a
 Gaussian window, the building blocks for structural-similarity scoring.
 
-Borders use symmetric (mirror, edge-repeating) padding so statistics do not
-darken toward the grid edge, where segmentation masks concentrate their
-detail. The padded window application is an explicit linear operator; its
-exact adjoint is also exposed because analytic gradients of window-based
-losses need it.
+The Gaussian window is separable, so applying it to an H x W grid is one
+linear map per axis: ``windowed_mean(g) = A_h @ g @ A_w.T`` with ``A_h``
+(H x H) and ``A_w`` (W x W) built from the window's 1-D taps. Borders use
+symmetric (mirror, edge-repeating) padding so statistics do not darken
+toward the grid edge, where segmentation masks concentrate their detail;
+the padding is folded into each axis matrix, including repeated reflection
+on axes shorter than the window radius. The exact adjoint that analytic
+gradients of window-based losses need is the transpose,
+``A_h.T @ a @ A_w``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve2d, correlate2d
 
 
 @dataclass(frozen=True)
 class GaussianWindow:
-    """Normalized square window. ``weights`` has shape (size, size)."""
-
-    size: int
-    sigma: float
-    weights: np.ndarray
-
-
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> GaussianWindow:
-    """Build a normalized 2-D Gaussian window.
+    """Normalized square Gaussian window of odd side ``size``.
 
     Raises ValueError unless size is a positive odd integer and sigma > 0.
     """
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"window size must be a positive odd integer, got {size}")
-    if sigma <= 0:
-        raise ValueError(f"window sigma must be > 0, got {sigma}")
-    half = size // 2
-    x = np.arange(size, dtype=np.float64) - half
-    g1 = np.exp(-(x**2) / (2.0 * sigma**2))
-    w = np.outer(g1, g1)
-    w /= w.sum()
-    return GaussianWindow(size=size, sigma=float(sigma), weights=w)
+
+    size: int
+    sigma: float
+
+    def __post_init__(self):
+        if self.size < 1 or self.size % 2 == 0:
+            raise ValueError(f"window size must be a positive odd integer, got {self.size}")
+        if not self.sigma > 0:
+            raise ValueError(f"window sigma must be > 0, got {self.sigma}")
+
+    @property
+    def taps(self) -> np.ndarray:
+        """Normalized 1-D taps, shape (size,); the window is their outer product."""
+        x = np.arange(self.size, dtype=np.float64) - self.size // 2
+        g = np.exp(-(x**2) / (2.0 * self.sigma**2))
+        return g / g.sum()
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The 2-D window, shape (size, size)."""
+        t = self.taps
+        return np.outer(t, t)
+
+
+def gaussian_window(size: int = 11, sigma: float = 1.5) -> GaussianWindow:
+    """The normalized Gaussian window; 11x11 with sigma 1.5 by default."""
+    return GaussianWindow(size=size, sigma=float(sigma))
 
 
 def as_grid(a) -> np.ndarray:
@@ -58,51 +71,32 @@ def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _check_window(w: GaussianWindow) -> None:
-    if w.size < 1 or w.size % 2 == 0:
-        raise ValueError(f"window size must be a positive odd integer, got {w.size}")
-    if w.weights.shape != (w.size, w.size):
-        raise ValueError("window weights shape does not match its size")
+@lru_cache(maxsize=32)
+def _axis_operator(n: int, w: GaussianWindow) -> np.ndarray:
+    """(n, n) matrix applying the window's taps along an axis of length n.
 
-
-def _reflect_indices(n: int, radius: int) -> np.ndarray:
-    """Source index for each position of a symmetric pad of width radius.
-
-    Matches numpy's 'symmetric' mode, including repeated reflection when
-    radius >= n.
+    Row i is the windowed mean at position i written in terms of the
+    unpadded samples: the taps slide over the symmetric pad of an identity,
+    so every mirrored sample is credited to the cell it copies.
     """
-    q = np.arange(-radius, n + radius)
-    period = 2 * n
-    qm = np.mod(q, period)
-    return np.where(qm < n, qm, period - 1 - qm)
+    r = w.size // 2
+    padded = np.pad(np.eye(n), ((r, r), (0, 0)), mode="symmetric")
+    op = sum(t * padded[k : k + n] for k, t in enumerate(w.taps))
+    op.flags.writeable = False
+    return op
 
 
 def windowed_mean(g: np.ndarray, w: GaussianWindow) -> np.ndarray:
     """Apply the window as a local weighted mean with symmetric padding."""
-    _check_window(w)
     g = as_grid(g)
-    r = w.size // 2
-    padded = np.pad(g, r, mode="symmetric")
-    return correlate2d(padded, w.weights, mode="valid")
+    return _axis_operator(g.shape[0], w) @ g @ _axis_operator(g.shape[1], w).T
 
 
 def windowed_mean_adjoint(a: np.ndarray, w: GaussianWindow) -> np.ndarray:
-    """Exact transpose of :func:`windowed_mean` as a linear operator.
-
-    Full convolution spreads each output weight back over the padded grid;
-    folding then accumulates every padded cell onto the interior cell it
-    mirrors. Satisfies <windowed_mean(x), a> == <x, windowed_mean_adjoint(a)>.
-    """
-    _check_window(w)
+    """Exact transpose of :func:`windowed_mean` as a linear operator:
+    <windowed_mean(x), a> == <x, windowed_mean_adjoint(a)>."""
     a = as_grid(a)
-    r = w.size // 2
-    full = convolve2d(a, w.weights, mode="full")
-    h, wd = a.shape
-    rows = _reflect_indices(h, r)
-    cols = _reflect_indices(wd, r)
-    out = np.zeros((h, wd))
-    np.add.at(out, (rows[:, None], cols[None, :]), full)
-    return out
+    return _axis_operator(a.shape[0], w).T @ a @ _axis_operator(a.shape[1], w)
 
 
 def windowed_moments(g: np.ndarray, w: GaussianWindow) -> tuple[np.ndarray, np.ndarray]:

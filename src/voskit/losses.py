@@ -26,8 +26,9 @@ from .grid import (
     as_grid,
     check_same_shape,
     gaussian_window,
-    windowed_mean,
+    windowed_covariance,
     windowed_mean_adjoint,
+    windowed_moments,
 )
 
 CLAMP_EPS = 1e-7
@@ -125,11 +126,9 @@ def ssim_loss(
         window = gaussian_window()
     n = p.size
 
-    mu_p = windowed_mean(p, window)
-    mu_t = windowed_mean(t, window)
-    var_p = np.maximum(windowed_mean(p * p, window) - mu_p * mu_p, 0.0)
-    var_t = np.maximum(windowed_mean(t * t, window) - mu_t * mu_t, 0.0)
-    cov = windowed_mean(p * t, window) - mu_p * mu_t
+    mu_p, var_p = windowed_moments(p, window)
+    mu_t, var_t = windowed_moments(t, window)
+    cov = windowed_covariance(p, t, window)
 
     a1 = 2.0 * mu_p * mu_t + SSIM_C1
     a2 = 2.0 * cov + SSIM_C2

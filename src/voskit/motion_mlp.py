@@ -242,6 +242,8 @@ class MotionPredictor:
                 raise ValueError(f"pt.layer{i}.weight shape {weight.shape} != {shape}")
             if bias.shape != (shape[1],):
                 raise ValueError(f"pt.layer{i}.bias shape {bias.shape} != ({shape[1]},)")
+            if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+                raise ValueError(f"pt.layer{i} has non-finite weights or biases")
             params.append({"weight": weight, "bias": bias})
         scale = float(np.asarray(items["pt.norm.scale"]).reshape(-1)[0])
         return cls(scale=scale, params=params)

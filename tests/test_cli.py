@@ -1,9 +1,13 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import voskit
 from voskit import checkpoint, corpus
 from voskit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISSING, EXIT_OK, main
 from voskit.motion_mlp import MotionPredictor
@@ -187,6 +191,18 @@ def test_filter_pt_with_garbage_weights_exits_2(built_corpus, tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_filter_pt_with_non_finite_weights_exits_2(built_corpus, tmp_path, capsys):
+    predictor = MotionPredictor.for_frame(60, 90, seed=1)
+    predictor.params[1]["bias"][0] = np.nan
+    weights = tmp_path / "w.tvck"
+    checkpoint.save(checkpoint.ParamStore.from_items(predictor.param_items()), weights)
+    code = run(
+        ["filter", built_corpus, tmp_path / "f", "--variant", "pt", "--weights", weights]
+    )
+    assert code == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_filter_nonexistent_corpus_exits_2(tmp_path):
     assert run(["filter", tmp_path / "ghost", tmp_path / "f"]) == EXIT_INPUT
 
@@ -327,6 +343,20 @@ def test_transplant_bad_magic_exits_2(tmp_path):
 
 
 # --- parser plumbing ---
+
+
+def test_cli_import_skips_scipy_signal():
+    # A fresh interpreter: this one has already imported whatever the other
+    # tests pulled in.
+    src = os.path.dirname(os.path.dirname(voskit.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import voskit.cli; "
+        "print('scipy.signal' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_version_flag(capsys):

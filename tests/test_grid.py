@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voskit.grid import (
     gaussian_window,
@@ -159,3 +161,23 @@ def test_non_2d_rejected():
     w = gaussian_window()
     with pytest.raises(ValueError):
         windowed_mean(np.zeros(5), w)
+
+
+@st.composite
+def grid_pairs(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_grid(seed, (h, w)), random_grid(seed + 1, (h, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_pairs())
+def test_separable_operator_matches_loop_reference_and_adjoint(pair):
+    # Shapes down to 1x1 put every axis shorter than the window radius.
+    g, a = pair
+    w = gaussian_window()
+    assert np.allclose(windowed_mean(g, w), brute_windowed_mean(g, w.weights), rtol=0, atol=1e-12)
+    lhs = float(np.sum(windowed_mean(g, w) * a))
+    rhs = float(np.sum(g * windowed_mean_adjoint(a, w)))
+    assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))

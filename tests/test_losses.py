@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from voskit import gradcheck
 from voskit.gradcheck import central_diff, max_err
 from voskit.losses import (
     CLAMP_EPS,
@@ -198,6 +199,12 @@ def test_total_gradient_fd_nontrivial_weights():
     analytic = total_loss(pred, target, weights).grad
     numeric = central_diff(lambda p: total_loss(p, target, weights).value, pred)
     assert max_err(analytic, numeric) < 1e-5
+
+
+def test_gradcheck_reports_a_nan_error_as_failure(monkeypatch):
+    monkeypatch.setattr(gradcheck, "CHECKS", {"gelu": lambda seed, size: float("nan")})
+    [result] = gradcheck.run_all(n_seeds=2, size=4)
+    assert not result.ok
 
 
 # --- channel averaging ---
