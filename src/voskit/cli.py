@@ -106,10 +106,7 @@ def cmd_filter(args) -> int:
     sequences = corpus.list_sequences(args.in_corpus)
     for seq in sequences:
         mask_dir = corpus.sequence_mask_dir(args.in_corpus, seq, "pred")
-        ids: set[int] = set()
-        for frame in corpus.iter_mask_dir(mask_dir):
-            ids.update(int(v) for v in np.unique(frame) if v != 0)
-        id_list = sorted(ids)
+        id_list = corpus.label_ids(corpus.iter_mask_dir(mask_dir))
         seq_out = os.path.join(args.out_corpus, seq)
         pred_out = os.path.join(seq_out, corpus.PRED_DIR)
         os.makedirs(pred_out, exist_ok=True)
@@ -144,13 +141,14 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    pairs: dict[str, tuple[list, list]] = {}
-    for seq in corpus.list_sequences(args.gt_corpus):
-        gt_dir = corpus.sequence_mask_dir(args.gt_corpus, seq, "gt")
-        pred_dir = corpus.sequence_mask_dir(args.pred_corpus, seq, "pred", required=False)
+def _eval_pairs(pred_root, gt_root):
+    """(name, (pred, gt)) frame lists one sequence at a time, in sorted
+    name order; each sequence is read only when the previous one is done."""
+    for seq in corpus.list_sequences(gt_root):
+        gt_dir = corpus.sequence_mask_dir(gt_root, seq, "gt")
+        pred_dir = corpus.sequence_mask_dir(pred_root, seq, "pred", required=False)
         if pred_dir is None:
-            pred_dir = corpus.sequence_mask_dir(args.pred_corpus, seq, "gt")
+            pred_dir = corpus.sequence_mask_dir(pred_root, seq, "gt")
         gt = corpus.read_mask_dir(gt_dir)
         pred = corpus.read_mask_dir(pred_dir)
         if len(pred) != len(gt):
@@ -161,8 +159,12 @@ def cmd_eval(args) -> int:
             raise corpus.CorpusError(
                 f"{seq}: mask dims {pred[0].shape} vs {gt[0].shape}"
             )
-        pairs[seq] = (pred, gt)
-    report = metrics.evaluate_corpus(pairs)
+        yield seq, (pred, gt)
+        del pred, gt
+
+
+def cmd_eval(args) -> int:
+    report = metrics.evaluate_corpus(_eval_pairs(args.pred_corpus, args.gt_corpus))
     if args.report:
         metrics.write_report_csv(report, args.report)
     for line in metrics.summary_lines(report):

@@ -154,10 +154,12 @@ def sequence_mask_dir(root, sequence: str, kind: str, required: bool = True):
 
 
 def label_ids(frames) -> list[int]:
-    """Sorted nonzero object ids appearing anywhere in a label sequence."""
+    """Sorted nonzero object ids appearing anywhere in a sequence of
+    non-negative integer label frames; frames may be any iterable."""
     ids: set[int] = set()
     for frame in frames:
-        ids.update(int(v) for v in np.unique(frame) if v != 0)
+        ids.update(np.flatnonzero(np.bincount(np.ravel(frame), minlength=256)).tolist())
+    ids.discard(0)
     return sorted(ids)
 
 

@@ -138,7 +138,7 @@ def check_mlp(seed: int, size: int = 0) -> float:
         return float(np.sum(value * c))
 
     last = len(params) - 1
-    worst = 0.0
+    errors = []
     for i, layer in enumerate(params):
         for key in ("weight", "bias"):
             arr = layer[key].reshape(-1)
@@ -157,8 +157,9 @@ def check_mlp(seed: int, size: int = 0) -> float:
                 fm = scalar()
                 arr[j] = orig
                 numeric = (fp - fm) / (2.0 * FD_EPS)
-                worst = max(worst, max_err(expected[j : j + 1], np.array([numeric])))
-    return worst
+                errors.append(max_err(expected[j : j + 1], np.array([numeric])))
+    # np.max, not max(): a NaN error must fail the check, not vanish.
+    return float(np.max(errors))
 
 
 @dataclass(frozen=True)

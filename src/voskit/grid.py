@@ -111,9 +111,21 @@ def windowed_moments(g: np.ndarray, w: GaussianWindow) -> tuple[np.ndarray, np.n
     return mean, np.maximum(var, 0.0)
 
 
-def windowed_covariance(a: np.ndarray, b: np.ndarray, w: GaussianWindow) -> np.ndarray:
-    """Per-pixel weighted covariance E[ab] - E[a]E[b]."""
+def windowed_statistics(
+    a: np.ndarray, b: np.ndarray, w: GaussianWindow
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Means, variances and covariance of two grids under window w, as
+    ``(mu_a, mu_b, var_a, var_b, cov)`` from five window applications. The
+    covariance is E[ab] - E[a]E[b], reusing the two means."""
     a = as_grid(a)
     b = as_grid(b)
     check_same_shape(a, b)
-    return windowed_mean(a * b, w) - windowed_mean(a, w) * windowed_mean(b, w)
+    mu_a, var_a = windowed_moments(a, w)
+    mu_b, var_b = windowed_moments(b, w)
+    cov = windowed_mean(a * b, w) - mu_a * mu_b
+    return mu_a, mu_b, var_a, var_b, cov
+
+
+def windowed_covariance(a: np.ndarray, b: np.ndarray, w: GaussianWindow) -> np.ndarray:
+    """Per-pixel weighted covariance E[ab] - E[a]E[b]."""
+    return windowed_statistics(a, b, w)[-1]

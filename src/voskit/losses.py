@@ -26,9 +26,8 @@ from .grid import (
     as_grid,
     check_same_shape,
     gaussian_window,
-    windowed_covariance,
     windowed_mean_adjoint,
-    windowed_moments,
+    windowed_statistics,
 )
 
 CLAMP_EPS = 1e-7
@@ -126,9 +125,7 @@ def ssim_loss(
         window = gaussian_window()
     n = p.size
 
-    mu_p, var_p = windowed_moments(p, window)
-    mu_t, var_t = windowed_moments(t, window)
-    cov = windowed_covariance(p, t, window)
+    mu_p, mu_t, var_p, var_t, cov = windowed_statistics(p, t, window)
 
     a1 = 2.0 * mu_p * mu_t + SSIM_C1
     a2 = 2.0 * cov + SSIM_C2

@@ -6,17 +6,24 @@ prediction and ground truth scores 1 (correctly absent) for J and F, and is
 excluded from that object's per-frame average; empty on exactly one side
 scores 0. Contour matching uses a tolerance of ceil(0.008 * image diagonal)
 pixels, boundaries are 4-connectivity transitions to background with the
-frame edge counting as background, and matching is by Euclidean-disk
-dilation.
+frame edge counting as background. A boundary pixel matches when the
+nearest boundary pixel on the other side is at most the tolerance away,
+which is the same as lying inside the other boundary dilated by a
+Euclidean disk of that radius: coordinates are integers and sqrt is
+correctly rounded, so the distance test and the disk test agree exactly.
+Matching costs time in proportion to the boundary, not the frame; scipy
+(`scipy.spatial`) is imported only when a contour is scored.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+
+from . import corpus
 
 
 def _as_binary(mask: np.ndarray) -> np.ndarray:
@@ -49,11 +56,9 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     """Boundary of a binary mask: foreground pixels with a 4-neighbor in the
     background, the frame edge counting as background."""
     m = _as_binary(mask)
-    if not m.any():
-        return np.zeros_like(m)
-    cross = ndimage.generate_binary_structure(2, 1)
-    eroded = ndimage.binary_erosion(m, structure=cross, border_value=0)
-    return m & ~eroded
+    p = np.pad(m, 1)
+    interior = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+    return m & ~interior
 
 
 def contour_tolerance(shape: tuple[int, int]) -> int:
@@ -61,36 +66,38 @@ def contour_tolerance(shape: tuple[int, int]) -> int:
     return math.ceil(0.008 * math.hypot(shape[0], shape[1]))
 
 
-def _disk(radius: int) -> np.ndarray:
-    r = int(radius)
-    span = np.arange(-r, r + 1)
-    yy, xx = np.meshgrid(span, span, indexing="ij")
-    return (yy**2 + xx**2) <= r**2
+def _matched(points: np.ndarray, other: np.ndarray, tol: int) -> int:
+    """How many of ``points`` have a point of ``other`` within distance tol."""
+    from scipy.spatial import cKDTree
+
+    # The bound only prunes the search: points with no neighbour inside it
+    # come back at distance inf, and every distance <= tol lies inside it.
+    dist, _ = cKDTree(other).query(points, distance_upper_bound=tol + 0.5)
+    return int(np.count_nonzero(dist <= tol))
 
 
 def contour_f(pred: np.ndarray, gt: np.ndarray, tolerance_px: int | None = None) -> float:
-    """Boundary F-measure with Euclidean-disk dilation matching.
+    """Boundary F-measure with nearest-boundary matching within tolerance_px
+    (default :func:`contour_tolerance` of the frame).
 
     precision = fraction of pred boundary within tolerance of gt boundary,
     recall symmetric, F = 2PR/(P+R) (0 when P+R = 0). Both masks empty
-    scores 1, exactly one empty scores 0.
+    scores 1, exactly one empty scores 0. Raises ValueError for a negative
+    tolerance.
     """
     p, g = _check_dims(pred, gt)
+    tol = contour_tolerance(p.shape) if tolerance_px is None else int(tolerance_px)
+    if tol < 0:
+        raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
     p_any, g_any = bool(p.any()), bool(g.any())
     if not p_any and not g_any:
         return 1.0
     if p_any != g_any:
         return 0.0
-    tol = contour_tolerance(p.shape) if tolerance_px is None else int(tolerance_px)
-    pb = boundary_pixels(p)
-    gb = boundary_pixels(g)
-    disk = _disk(tol)
-    gb_zone = ndimage.binary_dilation(gb, structure=disk)
-    pb_zone = ndimage.binary_dilation(pb, structure=disk)
-    n_pb = np.count_nonzero(pb)
-    n_gb = np.count_nonzero(gb)
-    precision = np.count_nonzero(pb & gb_zone) / n_pb
-    recall = np.count_nonzero(gb & pb_zone) / n_gb
+    pb = np.argwhere(boundary_pixels(p))
+    gb = np.argwhere(boundary_pixels(g))
+    precision = _matched(pb, gb, tol) / len(pb)
+    recall = _matched(gb, pb, tol) / len(gb)
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -121,7 +128,8 @@ class SequenceEval:
 
 
 def evaluate_sequence(pred_seq, gt_seq, object_ids=None) -> SequenceEval:
-    """Per-object J and F over a pair of label-mask sequences.
+    """Per-object J and F over a pair of label-mask sequences (non-negative
+    integer labels).
 
     Objects default to the union of nonzero labels on both sides. Sequence
     means are plain averages over objects of per-object frame averages.
@@ -137,10 +145,7 @@ def evaluate_sequence(pred_seq, gt_seq, object_ids=None) -> SequenceEval:
             raise ValueError(f"frame {i}: mask shapes differ: {p.shape} vs {g.shape}")
 
     if object_ids is None:
-        ids: set[int] = set()
-        for frame in gt_seq + pred_seq:
-            ids.update(int(v) for v in np.unique(frame) if v != 0)
-        object_ids = sorted(ids)
+        object_ids = corpus.label_ids(gt_seq + pred_seq)
 
     out = SequenceEval()
     per_object_j: dict[int, list[float]] = {}
@@ -187,15 +192,21 @@ class EvalReport:
         return (self.mean_j + self.mean_f) / 2.0
 
 
-def evaluate_corpus(pairs: dict[str, tuple[list, list]]) -> EvalReport:
-    """Evaluate named (pred_seq, gt_seq) pairs; corpus means average the
-    sequence means in sorted-name order."""
-    if not pairs:
-        raise ValueError("no sequences to evaluate")
+def evaluate_corpus(pairs) -> EvalReport:
+    """Evaluate named (pred_seq, gt_seq) pairs, given as a mapping or as an
+    iterable of ``(name, (pred_seq, gt_seq))`` items. Items are scored as
+    they arrive and not kept, so a generator streams the corpus one
+    sequence at a time. Corpus means average the sequence means in
+    sorted-name order."""
+    items = sorted(pairs.items()) if isinstance(pairs, Mapping) else pairs
     report = EvalReport()
-    for name in sorted(pairs):
-        pred_seq, gt_seq = pairs[name]
+    for name, (pred_seq, gt_seq) in items:
+        if name in report.sequences:
+            raise ValueError(f"duplicate sequence name {name!r}")
         report.sequences[name] = evaluate_sequence(pred_seq, gt_seq)
+        del pred_seq, gt_seq
+    if not report.sequences:
+        raise ValueError("no sequences to evaluate")
     evals = [report.sequences[name] for name in sorted(report.sequences)]
     report.mean_j = float(np.mean([e.mean_j for e in evals]))
     report.mean_f = float(np.mean([e.mean_f for e in evals]))

@@ -237,6 +237,21 @@ def test_eval_frame_count_mismatch_exits_2(built_corpus, tmp_path, capsys):
     assert run(["eval", clipped, built_corpus]) == EXIT_INPUT
 
 
+def test_eval_mismatch_in_a_later_sequence_exits_2_without_report(tmp_path, capsys):
+    src = tmp_path / "src"
+    assert run(["synth", write_scene(tmp_path), src, "--sequences", "3"]) == EXIT_OK
+    last = corpus.list_sequences(src)[-1]
+    pred_dir = src / last / "masks_pred"
+    os.remove(pred_dir / corpus.frame_name(len(os.listdir(pred_dir))))
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert run(["eval", src, src, "--report", report]) == EXIT_INPUT
+    assert not report.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert last in captured.err
+
+
 def test_eval_missing_gt_exits_2(built_corpus, tmp_path):
     assert run(["eval", built_corpus, tmp_path / "ghost"]) == EXIT_INPUT
 
@@ -347,16 +362,17 @@ def test_transplant_bad_magic_exits_2(tmp_path):
 
 def test_cli_import_skips_scipy_signal():
     # A fresh interpreter: this one has already imported whatever the other
-    # tests pulled in.
+    # tests pulled in. No scipy module at all, scipy.signal included: only
+    # scoring a contour imports scipy.spatial.
     src = os.path.dirname(os.path.dirname(voskit.__file__))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import voskit.cli; "
-        "print('scipy.signal' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_version_flag(capsys):

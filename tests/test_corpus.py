@@ -158,5 +158,14 @@ def test_label_ids_and_channels():
         np.testing.assert_array_equal(channels[oid], (seq[0] == oid).astype(np.float64))
 
 
+def test_label_ids_streams_and_matches_unique():
+    rng = np.random.default_rng(0)
+    frames = [rng.integers(0, 4, size=(5, 6), dtype=np.uint8) for _ in range(3)]
+    frames.append(np.array([[0, 300], [7, 0]]))
+    expected = sorted({int(v) for f in frames for v in np.unique(f)} - {0})
+    assert label_ids(iter(frames)) == expected
+    assert all(type(v) is int for v in label_ids(frames))
+
+
 def test_label_ids_ignores_background():
     assert label_ids([np.zeros((4, 4), dtype=np.uint8)]) == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voskit import gradcheck
+from voskit import grid, gradcheck
 from voskit.gradcheck import central_diff, max_err
 from voskit.losses import (
     CLAMP_EPS,
@@ -205,6 +205,23 @@ def test_gradcheck_reports_a_nan_error_as_failure(monkeypatch):
     monkeypatch.setattr(gradcheck, "CHECKS", {"gelu": lambda seed, size: float("nan")})
     [result] = gradcheck.run_all(n_seeds=2, size=4)
     assert not result.ok
+
+
+def test_check_mlp_reports_a_nan_component_error_as_failure(monkeypatch):
+    monkeypatch.setattr(gradcheck, "max_err", lambda analytic, numeric: float("nan"))
+    monkeypatch.setattr(gradcheck, "CHECKS", {"mlp_backward": gradcheck.check_mlp})
+    [result] = gradcheck.run_all(n_seeds=1)
+    assert math.isnan(result.max_err)
+    assert not result.ok
+
+
+def test_ssim_loss_applies_the_window_five_times(monkeypatch):
+    calls = []
+    forward = grid.windowed_mean
+    monkeypatch.setattr(grid, "windowed_mean", lambda g, w: calls.append(1) or forward(g, w))
+    pred, target = soft_pair(3, size=8)
+    ssim_loss(pred, target)
+    assert len(calls) == 5
 
 
 # --- channel averaging ---

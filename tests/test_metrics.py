@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from voskit.metrics import (
     boundary_pixels,
@@ -55,6 +59,103 @@ def test_jaccard_symmetry_random():
 def test_jaccard_shape_mismatch():
     with pytest.raises(ValueError):
         jaccard(np.zeros((3, 3)), np.zeros((3, 4)))
+
+
+# --- slow references: erosion boundary and disk-dilation matching ---
+
+
+def reference_boundary(mask):
+    """Foreground minus its 4-neighbour erosion, outside the frame as 0."""
+    m = np.asarray(mask).astype(bool)
+    if not m.any():
+        return np.zeros_like(m)
+    cross = ndimage.generate_binary_structure(2, 1)
+    return m & ~ndimage.binary_erosion(m, structure=cross, border_value=0)
+
+
+def reference_contour_f(pred, gt, tolerance_px=None):
+    """Boundary F by dilating each full-frame boundary with a Euclidean disk."""
+    p, g = np.asarray(pred).astype(bool), np.asarray(gt).astype(bool)
+    if not p.any() and not g.any():
+        return 1.0
+    if p.any() != g.any():
+        return 0.0
+    tol = contour_tolerance(p.shape) if tolerance_px is None else tolerance_px
+    span = np.arange(-tol, tol + 1)
+    yy, xx = np.meshgrid(span, span, indexing="ij")
+    disk = yy**2 + xx**2 <= tol**2
+    pb, gb = reference_boundary(p), reference_boundary(g)
+    precision = np.count_nonzero(pb & ndimage.binary_dilation(gb, structure=disk)) / np.count_nonzero(pb)
+    recall = np.count_nonzero(gb & ndimage.binary_dilation(pb, structure=disk)) / np.count_nonzero(gb)
+    if precision + recall == 0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+shapes = st.tuples(st.integers(1, 24), st.integers(1, 24))
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two masks of one random shape: noise, or noise thinned towards
+    sparse boundaries, so both dense and one-pixel components occur."""
+    shape = draw(shapes)
+    pair = []
+    for _ in range(2):
+        m = draw(hnp.arrays(bool, shape))
+        if draw(st.booleans()):
+            m &= draw(hnp.arrays(bool, shape))
+        pair.append(m)
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(bool, shapes))
+def test_boundary_equals_erosion_reference(mask):
+    assert np.array_equal(boundary_pixels(mask), reference_boundary(mask))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_pairs(), st.integers(0, 6))
+def test_contour_f_equals_disk_dilation_reference(pair, tol):
+    pred, gt = pair
+    assert contour_f(pred, gt, tolerance_px=tol) == reference_contour_f(pred, gt, tol)
+    assert contour_f(pred, gt) == reference_contour_f(pred, gt)
+
+
+@pytest.mark.parametrize("tol", range(7))
+def test_contour_f_reference_edge_cases(tol):
+    empty = np.zeros((9, 11), dtype=bool)
+    dot = empty.copy()
+    dot[4, 5] = True
+    corner = empty.copy()
+    corner[0, 0] = True
+    full = np.ones_like(empty)
+    edge = empty.copy()
+    edge[:, -3:] = True
+    one = np.ones((1, 1), dtype=bool)
+    cases = [(empty, empty), (dot, empty), (dot, dot), (dot, corner), (corner, full),
+             (full, edge), (edge, dot), (one, one), (one, ~one)]
+    for pred, gt in cases:
+        assert contour_f(pred, gt, tolerance_px=tol) == reference_contour_f(pred, gt, tol)
+
+
+def test_contour_f_equals_reference_on_full_size_frames():
+    # Frame-sized ellipses with distractor blobs at the DAVIS 480p tolerance.
+    yy, xx = np.mgrid[:120, :214]
+    for seed in range(3):
+        rng = Rng(seed)
+        cy, cx, ry, rx = rng.uniform_range(30, 90, 4)
+        gt = ((yy - cy) / (ry / 2)) ** 2 + ((xx - cx) / (rx / 2)) ** 2 <= 1
+        pred = gt ^ (rng.uniform(gt.size).reshape(gt.shape) > 0.97)
+        pred[10:20, 150 + 10 * seed : 170 + 10 * seed] = True
+        assert contour_f(pred, gt) == reference_contour_f(pred, gt)
+
+
+def test_contour_negative_tolerance_is_rejected():
+    m = square((10, 10), 2, 2, 4)
+    with pytest.raises(ValueError, match="tolerance"):
+        contour_f(m, m, tolerance_px=-1)
 
 
 # --- boundaries and contour F ---
@@ -236,6 +337,16 @@ def test_corpus_report_means_and_jf(tmp_path):
     summary = summary_lines(report)
     assert any("J&F" in line for line in summary)
     assert f"{report.mean_jf:.4f}" in summary[-1]
+
+
+def test_corpus_streams_items_like_a_mapping():
+    pred, gt = drifting_sequence()
+    from_dict = evaluate_corpus({"b": (pred, gt), "a": (gt, gt)})
+    streamed = evaluate_corpus(iter([("a", (gt, gt)), ("b", (pred, gt))]))
+    assert streamed.mean_j == from_dict.mean_j and streamed.mean_f == from_dict.mean_f
+    assert list(streamed.sequences) == ["a", "b"]
+    with pytest.raises(ValueError, match="duplicate"):
+        evaluate_corpus([("a", (gt, gt)), ("a", (gt, gt))])
 
 
 def test_corpus_requires_sequences():
