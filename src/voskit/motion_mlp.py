@@ -15,7 +15,8 @@ Training pairs come from box tracks: each run of three consecutive boxes of
 one object yields (input motion, target motion). The regression loss is
 smooth L1, scaled up by ``lambda_small`` whenever the predicted box would
 come out smaller than the target box, which penalizes the shrinking-box
-failure mode more than overshoot.
+failure mode more than overshoot. The loss takes whole (..., 4) arrays of
+motions and boxes, so training and dataset scoring make one call per batch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BBox, Motion, apply_motion, box_delta
+from .boxes import BBox, Motion, box_delta
 from .rng import Rng
 
 LAYER_SIZES = (4, 64, 64, 64, 64, 4)
@@ -149,29 +150,33 @@ def smooth_l1(diff: np.ndarray, delta: float = SMOOTH_L1_DELTA):
 
 
 def pt_loss(
-    pred_motion: np.ndarray,
-    target_motion: np.ndarray,
-    prev_box: BBox,
+    pred: np.ndarray,
+    target: np.ndarray,
+    prev: np.ndarray,
     lambda_small: float = 2.0,
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Smooth-L1 motion regression with a shrinking-box penalty.
 
-    Mean Huber loss over the 4 motion components, multiplied by
+    ``pred`` and ``target`` are (..., 4) motions (dx, dy, dw, dh) and
+    ``prev`` the (..., 4) boxes (x, y, w, h) they move. Each example's loss
+    is the mean Huber loss over its 4 components, multiplied by
     ``lambda_small`` when the box produced by the predicted motion has
-    smaller area than the box produced by the target motion. Returns
-    (loss, gradient w.r.t. pred_motion).
+    smaller area than the box produced by the target motion; as in
+    :func:`~voskit.boxes.apply_motion`, moved widths and heights are
+    clamped at 1. Returns the per-example losses (...) and their gradients
+    w.r.t. ``pred`` (..., 4).
     """
-    pred_motion = np.asarray(pred_motion, dtype=np.float64)
-    target_motion = np.asarray(target_motion, dtype=np.float64)
-    if pred_motion.shape != (4,) or target_motion.shape != (4,):
-        raise ValueError("motions must be 4-vectors")
+    pred, target, prev = (np.asarray(a, dtype=np.float64) for a in (pred, target, prev))
+    if pred.shape[-1:] != (4,) or not pred.shape == target.shape == prev.shape:
+        raise ValueError(f"need one (..., 4) shape, got {pred.shape} {target.shape} {prev.shape}")
     if lambda_small < 1.0:
         raise ValueError(f"lambda_small must be >= 1, got {lambda_small}")
-    value, grad = smooth_l1(pred_motion - target_motion)
-    pred_box = apply_motion(prev_box, Motion(*pred_motion))
-    target_box = apply_motion(prev_box, Motion(*target_motion))
-    scale = lambda_small if pred_box.area < target_box.area else 1.0
-    return scale * float(value.mean()), scale * grad / 4.0
+    if not all(np.isfinite(a).all() for a in (pred, target, prev)):
+        raise ValueError("motions and boxes must be finite")
+    pred_wh, target_wh = (np.maximum(prev[..., 2:] + m[..., 2:], 1.0) for m in (pred, target))
+    scale = np.where(pred_wh.prod(axis=-1) < target_wh.prod(axis=-1), lambda_small, 1.0)
+    value, grad = smooth_l1(pred - target)
+    return scale * value.mean(axis=-1), scale[..., None] * grad / 4.0
 
 
 def extract_triples(tracks: dict[int, list[BBox | None]]) -> list[tuple[np.ndarray, np.ndarray, BBox]]:
@@ -212,10 +217,13 @@ class MotionPredictor:
     def for_frame(cls, height: int, width: int, seed: int = 0) -> "MotionPredictor":
         return cls(scale=0.1 * math.hypot(height, width), seed=seed)
 
+    def predict(self, motions: np.ndarray) -> np.ndarray:
+        """Refined motions for a (4,) or (n, 4) array of raw motions."""
+        out, _ = mlp_forward(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
+        return out * self.scale
+
     def predict_motion(self, motion: Motion) -> Motion:
-        x = np.array(motion.as_tuple(), dtype=np.float64) / self.scale
-        out, _ = mlp_forward(self.params, x)
-        return Motion(*(out * self.scale))
+        return Motion(*self.predict(motion.as_tuple()))
 
     def param_items(self):
         """(name, array) pairs naming each tensor, plus the scale."""
@@ -249,28 +257,26 @@ class MotionPredictor:
         return cls(scale=scale, params=params)
 
 
-def dataset_loss(predictor: MotionPredictor, triples, lambda_small: float = 2.0) -> float:
-    """Mean pt_loss of the predictor over a triple list."""
-    if not triples:
-        return 0.0
-    total = 0.0
-    for t_in, t_out, prev in triples:
-        out, _ = mlp_forward(predictor.params, t_in / predictor.scale)
-        pred = out * predictor.scale
-        value, _ = pt_loss(pred, t_out, prev, lambda_small)
-        total += value
-    return total / len(triples)
+def _stack_triples(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Input motions, target motions and previous boxes as (n, 4) arrays."""
+    rows = [(*t_in, *t_out, *prev.as_tuple()) for t_in, t_out, prev in triples]
+    stacked = np.array(rows, dtype=np.float64).reshape(len(rows), 12)
+    return stacked[:, :4], stacked[:, 4:8], stacked[:, 8:]
 
 
-def cv_dataset_loss(triples, lambda_small: float = 2.0) -> float:
-    """Mean pt_loss of the repeat-last-motion baseline over a triple list."""
-    if not triples:
-        return 0.0
-    total = 0.0
-    for t_in, t_out, prev in triples:
-        value, _ = pt_loss(t_in, t_out, prev, lambda_small)
-        total += value
-    return total / len(triples)
+def _mean_loss(values: np.ndarray) -> float:
+    """Mean of per-example losses, 0 for none. The sum runs left to right
+    like a running total; np.sum adds pairwise and can round differently."""
+    return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
+
+
+def dataset_loss(predictor: MotionPredictor | None, triples, lambda_small: float = 2.0) -> float:
+    """Mean pt_loss over a triple list, scoring the predictor's motions from
+    one batched forward pass, or with ``predictor=None`` the constant-velocity
+    baseline, which repeats the input motion."""
+    t_in, t_out, prev = _stack_triples(triples)
+    pred = t_in if predictor is None else predictor.predict(t_in)
+    return _mean_loss(pt_loss(pred, t_out, prev, lambda_small)[0])
 
 
 def train_pt(
@@ -294,28 +300,23 @@ def train_pt(
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    triples = list(triples)
+    t_in, t_out, prev = _stack_triples(triples)
+    n = len(t_in)
     optimizer = Adam(lr=lr, weight_decay=weight_decay)
     history = []
     rng = Rng(seed)
     for epoch in range(epochs):
-        order = np.arange(len(triples))
+        order = np.arange(n)
         rng.spawn(epoch).shuffle(order)
-        total = 0.0
-        for start in range(0, len(order), batch):
+        losses = np.empty(n)
+        for start in range(0, n, batch):
             chunk = order[start : start + batch]
-            x = np.stack([triples[i][0] for i in chunk]) / predictor.scale
-            out, cache = mlp_forward(predictor.params, x)
-            grad_out = np.zeros_like(out)
-            for row, idx in enumerate(chunk):
-                _, t_out, prev = triples[idx]
-                pred = out[row] * predictor.scale
-                value, grad_pred = pt_loss(pred, t_out, prev, lambda_small)
-                total += value
-                grad_out[row] = grad_pred * predictor.scale / len(chunk)
-            grads = mlp_backward(predictor.params, cache, grad_out)
+            out, cache = mlp_forward(predictor.params, t_in[chunk] / predictor.scale)
+            values, grad = pt_loss(out * predictor.scale, t_out[chunk], prev[chunk], lambda_small)
+            losses[start : start + len(chunk)] = values
+            grads = mlp_backward(predictor.params, cache, grad * predictor.scale / len(chunk))
             optimizer.step(predictor.params, grads)
-        mean = total / len(triples) if triples else 0.0
+        mean = _mean_loss(losses)
         history.append(mean)
         if log is not None:
             log(epoch, mean)

@@ -64,9 +64,10 @@ class Rng:
         return low + (high - low) * self.uniform(n)
 
     def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integer1(0, i)
+        """In-place Fisher-Yates shuffle; its n - 1 draws come in one batch."""
+        spans = np.arange(len(items), 1, -1)  # i + 1 for i = n - 1, ..., 1
+        picks = np.floor(self.uniform(len(spans)) * spans).astype(np.int64)
+        for i, j in zip(range(len(items) - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def spawn(self, key: int) -> "Rng":

@@ -6,7 +6,8 @@ into a binary attention gate, and multiplied into the object's predicted
 soft mask. The box is then reinitialized from the filtered mask, so the
 track follows what survives the gate.
 
-Frames are dicts mapping object id -> soft mask (H x W floats in [0, 1]).
+Frames are dicts mapping object id -> soft mask (H x W finite floats in
+[0, 1]); an object missing from a frame is absent, like an empty mask.
 The first two frames of the sequence, and the first two frames an object is
 seen with a usable box, pass through ungated (warm-up: two boxes are needed
 before a motion exists). If gating empties an object's mask, the frame falls
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BBox, apply_motion, attention_map, bbox_from_mask, box_delta, cv_predict
+from .boxes import BBox, apply_motion, attention_map, bbox_from_mask, box_delta, filter_mask
 
 SOURCE_WARMUP = "warmup"
 SOURCE_CV = "cv"
@@ -69,14 +70,6 @@ class FilterConfig:
     keep_gates: bool = False
 
 
-class _ObjectState:
-    __slots__ = ("prev", "prev2")
-
-    def __init__(self):
-        self.prev: BBox | None = None
-        self.prev2: BBox | None = None
-
-
 def compose_label(channels: dict[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     """Argmax composition of soft channels into an integer label mask.
 
@@ -116,12 +109,14 @@ def filter_stream(
         raise ValueError("variant 'pt' requires a motion model")
     cfg = config or FilterConfig()
 
-    states: dict[int, _ObjectState] = {}
+    # (last box, box before it) per object of the previous frame
+    states: dict[int, tuple[BBox | None, BBox | None]] = {}
     shape: tuple[int, int] | None = None
     for index, frame in enumerate(frames, start=1):
         out_channels: dict[int, np.ndarray] = {}
         gates: dict[int, np.ndarray] = {}
         rows: list[TrackRow] = []
+        next_states: dict[int, tuple[BBox | None, BBox | None]] = {}
         for object_id in sorted(frame):
             channel = np.asarray(frame[object_id])
             if shape is None:
@@ -131,40 +126,35 @@ def filter_stream(
                     f"frame {index} object {object_id}: shape {channel.shape} "
                     f"drifted from sequence shape {shape}"
                 )
-            state = states.setdefault(object_id, _ObjectState())
+            if not np.isfinite(channel).all():
+                raise ValueError(f"frame {index} object {object_id}: non-finite soft mask")
+            prev, prev2 = states.get(object_id, (None, None))
 
-            warm = index <= 2 or state.prev is None or state.prev2 is None
+            warm = index <= 2 or prev is None or prev2 is None
             gate = None
             if warm:
                 filtered = channel
                 box = bbox_from_mask(channel, threshold=cfg.threshold)
                 source = SOURCE_WARMUP
-                reset_prev2 = False
             else:
-                motion = box_delta(state.prev, state.prev2)
+                motion = box_delta(prev, prev2)
                 if variant == SOURCE_PT:
                     motion = model.predict_motion(motion)
-                predicted = apply_motion(state.prev, motion, cfg.min_box_size)
+                predicted = apply_motion(prev, motion, cfg.min_box_size)
                 gate = attention_map(predicted, shape[0], shape[1], cfg.margin_frac)
-                filtered = channel * gate
+                filtered = filter_mask(gate, channel)
                 box = bbox_from_mask(filtered, threshold=cfg.threshold)
                 source = variant
-                reset_prev2 = False
                 if box is None:
                     # Lost inside the gate: pass the frame through ungated,
                     # re-acquire the box from it, and forget the old motion.
                     filtered = channel
                     box = bbox_from_mask(channel, threshold=cfg.threshold)
                     source = SOURCE_FALLBACK
-                    reset_prev2 = True
                     gate = None
 
-            if box is None:
-                state.prev, state.prev2 = None, None
-            elif reset_prev2:
-                state.prev, state.prev2 = box, None
-            else:
-                state.prev, state.prev2 = box, state.prev
+            forget = box is None or source == SOURCE_FALLBACK
+            next_states[object_id] = (box, None if forget else prev)
 
             out_channels[object_id] = filtered
             if cfg.keep_gates:
@@ -172,6 +162,7 @@ def filter_stream(
                     gate if gate is not None else np.ones(shape, dtype=np.uint8)
                 )
             rows.append(TrackRow(frame=index, object_id=object_id, box=box, source=source))
+        states = next_states
 
         if shape is None:
             raise ValueError(f"frame {index} carries no object channels")

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
-from voskit.boxes import BBox, Motion
+from voskit.boxes import BBox, Motion, apply_motion
 from voskit.gradcheck import central_diff, max_err
 from voskit.motion_mlp import (
     LAYER_SIZES,
     Adam,
     MotionPredictor,
-    cv_dataset_loss,
     dataset_loss,
     extract_triples,
     gelu,
@@ -219,7 +220,7 @@ def test_smooth_l1_values_and_grads():
 
 
 def test_pt_loss_zero_at_exact_match():
-    prev = BBox(10, 10, 20, 20)
+    prev = np.array([10.0, 10.0, 20.0, 20.0])
     t = np.array([2.0, 1.0, 0.0, 0.0])
     value, grad = pt_loss(t, t, prev)
     assert value == 0.0
@@ -227,7 +228,7 @@ def test_pt_loss_zero_at_exact_match():
 
 
 def test_pt_loss_small_box_penalty_doubles():
-    prev = BBox(10, 10, 20, 20)
+    prev = np.array([10.0, 10.0, 20.0, 20.0])
     target = np.array([0.0, 0.0, 4.0, 4.0])  # target grows the box
     pred_small = np.array([0.0, 0.0, 1.0, 1.0])  # prediction grows it less
     pred_big = np.array([0.0, 0.0, 7.0, 7.0])  # overshoot by the same margin
@@ -239,7 +240,7 @@ def test_pt_loss_small_box_penalty_doubles():
 
 
 def test_pt_loss_gradient_fd_both_sides_of_gate():
-    prev = BBox(0, 0, 10, 10)
+    prev = np.array([0.0, 0.0, 10.0, 10.0])
     target = np.array([1.0, -1.0, 2.0, 0.5])
     # components stay clear of the Huber kink at |diff| = 1, where the
     # second derivative jumps and central differences lose accuracy
@@ -253,10 +254,95 @@ def test_pt_loss_gradient_fd_both_sides_of_gate():
 
 
 def test_pt_loss_validates_inputs():
+    box = np.array([0.0, 0.0, 5.0, 5.0])
     with pytest.raises(ValueError):
-        pt_loss(np.zeros(3), np.zeros(4), BBox(0, 0, 5, 5))
+        pt_loss(np.zeros(3), np.zeros(4), box)
     with pytest.raises(ValueError):
-        pt_loss(np.zeros(4), np.zeros(4), BBox(0, 0, 5, 5), lambda_small=0.5)
+        pt_loss(np.zeros(4), np.zeros(4), box, lambda_small=0.5)
+    with pytest.raises(ValueError):
+        pt_loss(np.zeros((2, 4)), np.zeros((2, 4)), box)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            pt_loss(np.array([0.0, 0.0, bad, 0.0]), np.zeros(4), box)
+        with pytest.raises(ValueError):
+            pt_loss(np.zeros(4), np.array([bad, 0.0, 0.0, 0.0]), box)
+        with pytest.raises(ValueError):
+            pt_loss(np.zeros(4), np.zeros(4), np.array([0.0, bad, 5.0, 5.0]))
+
+
+# The per-example loss as first written, on BBox and apply_motion: the
+# reference the array form must equal bit for bit.
+def reference_pt_loss(pred_motion, target_motion, prev_box: BBox, lambda_small=2.0):
+    pred_motion = np.asarray(pred_motion, dtype=np.float64)
+    target_motion = np.asarray(target_motion, dtype=np.float64)
+    value, grad = smooth_l1(pred_motion - target_motion)
+    pred_box = apply_motion(prev_box, Motion(*pred_motion))
+    target_box = apply_motion(prev_box, Motion(*target_motion))
+    scale = lambda_small if pred_box.area < target_box.area else 1.0
+    return scale * float(value.mean()), scale * grad / 4.0
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def check_pt_loss_against_reference(examples, lambda_small):
+    pred, target, prev = (np.array([e[k] for e in examples]) for k in range(3))
+    values, grads = pt_loss(pred, target, prev, lambda_small)
+    assert values.shape == (len(examples),) and grads.shape == (len(examples), 4)
+    for i, (p, t, box) in enumerate(examples):
+        ref_value, ref_grad = reference_pt_loss(p, t, BBox(*box), lambda_small)
+        assert same_bits(values[i], ref_value) and same_bits(grads[i], ref_grad)
+        single_value, single_grad = pt_loss(p, t, box, lambda_small)
+        assert same_bits(single_value, ref_value) and same_bits(single_grad, ref_grad)
+
+
+def test_pt_loss_matches_reference_at_clamps_and_both_sides_of_gate():
+    box = (10.0, 10.0, 3.0, 2.0)
+    cases = [  # (pred, target, prev, penalized)
+        # both moved boxes clamp at 1 x 1: equal areas
+        ((0.0, 0.0, -5.0, -5.0), (1.0, 1.0, -9.0, -2.0), box, False),
+        # 0.5 x 0.5 against 0.8 x 0.8: both clamp to 1 x 1
+        ((0.0, 0.0, -2.5, -1.5), (0.0, 0.0, -2.2, -1.2), box, False),
+        # -2 x -3 clamps to 1 x 1, smaller than 2 x 2
+        ((0.0, 0.0, -5.0, -5.0), (0.0, 0.0, -1.0, 0.0), box, True),
+        # prediction clamped, target not
+        ((0.5, 0.0, -4.0, -1.5), (0.0, 0.0, 0.0, 0.0), box, True),
+        # target clamped, prediction not
+        ((0.0, 0.0, 0.0, 0.0), (0.0, 2.0, -4.0, -3.0), box, False),
+        # prediction exactly 1 x 1, target clamped to it
+        ((0.0, 0.0, -2.0, -1.0), (0.0, 0.0, -2.5, -1.0), box, False),
+        # equal areas from different shapes, 4 x 2 against 2 x 4
+        ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 2.0), box, False),
+        # both Huber branches and the kink, on either side of the gate
+        ((3.0, -1.0, 1.0, -0.5), (0.0, 0.0, 2.5, 0.5), box, True),
+        ((-3.0, 1.0, 4.0, 2.0), (0.0, 0.0, 2.5, 0.5), box, False),
+        # zero-size box
+        ((0.0, 0.0, 0.5, 3.0), (0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 0.0, 0.0), True),
+    ]
+    for lambda_small in (1.0, 2.0, 3.5):
+        check_pt_loss_against_reference([case[:3] for case in cases], lambda_small)
+    pred, target, prev = (np.array([case[k] for case in cases]) for k in range(3))
+    base, _ = pt_loss(pred, target, prev, lambda_small=1.0)
+    scaled, _ = pt_loss(pred, target, prev, lambda_small=3.5)
+    assert np.all(base > 0)
+    assert np.array_equal(scaled == 3.5 * base, [case[3] for case in cases])
+
+
+coords = st.one_of(st.integers(-12, 12).map(float), st.floats(-40.0, 40.0))
+sizes = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 30.0))
+motions = st.tuples(coords, coords, coords, coords)
+boxes = st.tuples(coords, coords, sizes, sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(motions, motions, boxes), min_size=1, max_size=8),
+    st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 8.0)),
+)
+def test_pt_loss_matches_reference(examples, lambda_small):
+    check_pt_loss_against_reference(examples, lambda_small)
 
 
 # --- training data extraction ---
@@ -344,7 +430,98 @@ def test_train_rejects_bad_arguments():
 
 
 def test_cv_baseline_loss_zero_on_constant_velocity():
-    assert cv_dataset_loss(cv_triples(10)) < 1e-12
+    assert dataset_loss(None, cv_triples(10)) < 1e-12
+
+
+def varied_triples(n=12, seed=0):
+    """Tracks whose boxes move, grow and shrink, some down to the clamp."""
+    rng = Rng(seed)
+    tracks = {}
+    for oid in range(n):
+        x, y, vx, vy = rng.uniform_range(-8, 8, 4) + [200, 150, 0, 0]
+        w, h = rng.uniform_range(1, 40, 2)
+        dw, dh = rng.uniform_range(-6, 6, 2)
+        tracks[oid] = [
+            BBox(x + vx * k, y + vy * k, max(w + dw * k, 0.0), max(h + dh * k, 0.0))
+            for k in range(4)
+        ]
+    return extract_triples(tracks)
+
+
+# The dataset losses and the training loop as first written, one example at a
+# time: the references for dataset_loss and train_pt.
+def reference_dataset_loss(predictor, triples, lambda_small=2.0):
+    if not triples:
+        return 0.0
+    total = 0.0
+    for t_in, t_out, prev in triples:
+        if predictor is None:
+            pred = t_in
+        else:
+            out, _ = mlp_forward(predictor.params, t_in / predictor.scale)
+            pred = out * predictor.scale
+        value, _ = reference_pt_loss(pred, t_out, prev, lambda_small)
+        total += value
+    return total / len(triples)
+
+
+def reference_train_pt(predictor, triples, epochs, batch, lr, lambda_small, weight_decay, seed):
+    optimizer = Adam(lr=lr, weight_decay=weight_decay)
+    history = []
+    rng = Rng(seed)
+    for epoch in range(epochs):
+        order = np.arange(len(triples))
+        rng.spawn(epoch).shuffle(order)
+        total = 0.0
+        for start in range(0, len(order), batch):
+            chunk = order[start : start + batch]
+            x = np.stack([triples[i][0] for i in chunk]) / predictor.scale
+            out, cache = mlp_forward(predictor.params, x)
+            grad_out = np.zeros_like(out)
+            for row, idx in enumerate(chunk):
+                _, t_out, prev = triples[idx]
+                pred = out[row] * predictor.scale
+                value, grad_pred = reference_pt_loss(pred, t_out, prev, lambda_small)
+                total += value
+                grad_out[row] = grad_pred * predictor.scale / len(chunk)
+            grads = mlp_backward(predictor.params, cache, grad_out)
+            optimizer.step(predictor.params, grads)
+        history.append(total / len(triples) if triples else 0.0)
+    return history
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    batch=st.sampled_from([1, 3, 5, 16, 40]),
+    seed=st.integers(0, 2**32),
+    lambda_small=st.sampled_from([1.0, 2.0, 3.5]),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    corpus_seed=st.integers(0, 3),
+)
+def test_train_pt_matches_reference_bit_for_bit(batch, seed, lambda_small, weight_decay, corpus_seed):
+    triples = varied_triples(seed=corpus_seed)
+    model = MotionPredictor.for_frame(240, 427, seed=seed % 7)
+    reference = MotionPredictor.for_frame(240, 427, seed=seed % 7)
+    args = dict(
+        epochs=3, batch=batch, lr=3e-3, lambda_small=lambda_small, weight_decay=weight_decay, seed=seed
+    )
+    history = train_pt(model, triples, **args)
+    assert same_bits(history, reference_train_pt(reference, triples, **args))
+    for layer, ref_layer in zip(model.params, reference.params):
+        for key in ("weight", "bias"):
+            assert same_bits(layer[key], ref_layer[key])
+    # the trained model scores within one batched-matmul rounding of the
+    # row-at-a-time reference; the baseline involves no matmul and is exact
+    for lam in (1.0, lambda_small):
+        value = dataset_loss(model, triples, lam)
+        assert abs(value - reference_dataset_loss(model, triples, lam)) <= 1e-12 * abs(value)
+        assert same_bits(dataset_loss(None, triples, lam), reference_dataset_loss(None, triples, lam))
+
+
+def test_dataset_loss_of_no_triples_is_zero():
+    model = MotionPredictor.for_frame(100, 100)
+    assert dataset_loss(model, []) == 0.0 and dataset_loss(None, []) == 0.0
+    assert train_pt(model, [], epochs=2) == [0.0, 0.0]
 
 
 # --- predictor plumbing ---

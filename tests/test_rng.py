@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voskit.rng import Rng
 
@@ -60,6 +62,26 @@ def test_shuffle_depends_on_seed():
     Rng(1).shuffle(a)
     Rng(2).shuffle(b)
     assert not np.array_equal(a, b)
+
+
+def reference_shuffle(rng: Rng, items) -> None:
+    """Fisher-Yates with one integer1 draw per swap: the reference for the
+    batched draws of Rng.shuffle."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.integer1(0, i)
+        items[i], items[j] = items[j], items[i]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 2**64 - 1))
+def test_shuffle_matches_one_draw_per_swap_reference(n, seed):
+    a, b = Rng(seed), Rng(seed)
+    items, expected = np.arange(n), np.arange(n)
+    a.shuffle(items)
+    reference_shuffle(b, expected)
+    assert np.array_equal(items, expected)
+    # both consumed the same draws, so the streams stay in step
+    assert np.array_equal(a.uint64(2), b.uint64(2))
 
 
 def test_spawn_children_are_independent_and_deterministic():

@@ -114,6 +114,33 @@ def test_object_absent_resets_track():
     assert rows[5].source == "cv" and rows[5].box == BBox(14, 10, 4, 4)
 
 
+def test_object_missing_from_frame_resets_track():
+    shape = (40, 60)
+    frames = []
+    for t in range(6):
+        frame = {2: rect_channel(shape, 40, 30, 5, 5)}
+        if t < 3:
+            frame[1] = rect_channel(shape, 2 + 3 * t, 2, 4, 4)
+        elif t > 3:
+            frame[1] = rect_channel(shape, 30 + 3 * t, 20, 4, 4)  # far from the old path
+        frames.append(frame)
+    _, rows = run_filter(frames)
+    sources = [(row.frame, row.source) for row in rows if row.object_id == 1]
+    # missing at frame 4, so frame 5 warms up instead of gating with stale motion
+    assert sources == [(1, "warmup"), (2, "warmup"), (3, "cv"), (5, "warmup"), (6, "warmup")]
+    assert [row.source for row in rows if row.object_id == 2][2:] == ["cv"] * 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_soft_mask_rejected(bad):
+    shape = (20, 30)
+    channel = rect_channel(shape, 2, 2, 4, 4)
+    channel[10, 10] = bad
+    frames = [{1: rect_channel(shape, 2, 2, 4, 4)}, {1: channel}]
+    with pytest.raises(ValueError, match="non-finite"):
+        run_filter(frames)
+
+
 def test_multi_object_tracks_are_independent():
     shape = (40, 60)
     frames = []
