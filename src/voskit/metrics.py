@@ -6,13 +6,10 @@ prediction and ground truth scores 1 (correctly absent) for J and F, and is
 excluded from that object's per-frame average; empty on exactly one side
 scores 0. Contour matching uses a tolerance of ceil(0.008 * image diagonal)
 pixels, boundaries are 4-connectivity transitions to background with the
-frame edge counting as background. A boundary pixel matches when the
-nearest boundary pixel on the other side is at most the tolerance away,
-which is the same as lying inside the other boundary dilated by a
-Euclidean disk of that radius: coordinates are integers and sqrt is
-correctly rounded, so the distance test and the disk test agree exactly.
-Matching costs time in proportion to the boundary, not the frame; scipy
-(`scipy.spatial`) is imported only when a contour is scored.
+frame edge counting as background. A boundary pixel matches when the other
+boundary has a pixel inside the Euclidean disk of that radius around it
+(the DAVIS rule). Matching is exact integer arithmetic on the boundary
+points, so it costs time in proportion to the boundary, not the frame.
 """
 
 from __future__ import annotations
@@ -66,18 +63,28 @@ def contour_tolerance(shape: tuple[int, int]) -> int:
     return math.ceil(0.008 * math.hypot(shape[0], shape[1]))
 
 
-def _matched(points: np.ndarray, other: np.ndarray, tol: int) -> int:
-    """How many of ``points`` have a point of ``other`` within distance tol."""
-    from scipy.spatial import cKDTree
-
-    # The bound only prunes the search: points with no neighbour inside it
-    # come back at distance inf, and every distance <= tol lies inside it.
-    dist, _ = cKDTree(other).query(points, distance_upper_bound=tol + 0.5)
-    return int(np.count_nonzero(dist <= tol))
+def _matched(points: np.ndarray, keys: np.ndarray, tol: int, shape: tuple[int, int]) -> int:
+    """How many ``points`` lie within distance tol of a pixel in ``keys``,
+    both sorted flat indices ``row * width + col`` (``np.flatnonzero``).
+    Point (y, x) matches when row y + dy holds a key with a column in
+    x +- isqrt(tol^2 - dy^2) for some dy; columns are clipped to the frame
+    so that a range never wraps into the next row."""
+    height, width = shape
+    total = len(points)
+    cols = points % width
+    span = min(tol, height - 1)
+    for dy in range(-span, span + 1):
+        reach = math.isqrt(tol * tol - dy * dy)
+        row = points - cols + dy * width
+        lo = row + np.maximum(cols - reach, 0)
+        hi = row + np.minimum(cols + reach, width - 1)
+        missed = np.searchsorted(keys, lo) == np.searchsorted(keys, hi, side="right")
+        points, cols = points[missed], cols[missed]
+    return total - len(points)
 
 
 def contour_f(pred: np.ndarray, gt: np.ndarray, tolerance_px: int | None = None) -> float:
-    """Boundary F-measure with nearest-boundary matching within tolerance_px
+    """Boundary F-measure, matching boundary pixels within tolerance_px
     (default :func:`contour_tolerance` of the frame).
 
     precision = fraction of pred boundary within tolerance of gt boundary,
@@ -89,15 +96,17 @@ def contour_f(pred: np.ndarray, gt: np.ndarray, tolerance_px: int | None = None)
     tol = contour_tolerance(p.shape) if tolerance_px is None else int(tolerance_px)
     if tol < 0:
         raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
+    # Every pair of pixels in the frame is closer than height + width.
+    tol = min(tol, sum(p.shape))
     p_any, g_any = bool(p.any()), bool(g.any())
     if not p_any and not g_any:
         return 1.0
     if p_any != g_any:
         return 0.0
-    pb = np.argwhere(boundary_pixels(p))
-    gb = np.argwhere(boundary_pixels(g))
-    precision = _matched(pb, gb, tol) / len(pb)
-    recall = _matched(gb, pb, tol) / len(gb)
+    pb = np.flatnonzero(boundary_pixels(p))
+    gb = np.flatnonzero(boundary_pixels(g))
+    precision = _matched(pb, gb, tol, p.shape) / len(pb)
+    recall = _matched(gb, pb, tol, p.shape) / len(gb)
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)

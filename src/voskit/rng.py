@@ -46,9 +46,6 @@ class Rng:
         """n doubles uniform in [0, 1), using the top 53 bits of each draw."""
         return (self.uint64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def uniform1(self) -> float:
-        return float(self.uniform(1)[0])
-
     def integers(self, low: int, high: int, n: int = 1) -> np.ndarray:
         """n integers uniform in [low, high] inclusive (floor of a uniform;
         bias is negligible for the small ranges used here)."""

@@ -70,13 +70,15 @@ class FilterConfig:
     keep_gates: bool = False
 
 
-def compose_label(channels: dict[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+def compose_label(
+    channels: dict[int, np.ndarray], shape: tuple[int, int], threshold: float = 0.5
+) -> np.ndarray:
     """Argmax composition of soft channels into an integer label mask.
 
-    Background scores 1 - max(channels) and wins ties; among tied objects the
-    smallest id wins. Computed with a running max instead of a stacked argmax:
-    the winner is the first channel attaining the max, and it beats background
-    exactly when its score exceeds 0.5.
+    A pixel takes the id of its largest channel when that value exceeds
+    threshold, and is background (0) otherwise; among tied objects the
+    smallest id wins. Computed with a running max instead of a stacked
+    argmax: the winner is the first channel attaining the max.
     """
     if not channels:
         return np.zeros(shape, dtype=np.uint8)
@@ -88,7 +90,7 @@ def compose_label(channels: dict[int, np.ndarray], shape: tuple[int, int]) -> np
         better = ch > best
         best = np.where(better, ch, best)
         label[better] = oid
-    label[best <= 0.5] = 0
+    label[best <= threshold] = 0
     return label
 
 
@@ -169,7 +171,7 @@ def filter_stream(
         yield FilteredFrame(
             frame=index,
             channels=out_channels,
-            label=compose_label(out_channels, shape),
+            label=compose_label(out_channels, shape, cfg.threshold),
             rows=rows,
             gates=gates if cfg.keep_gates else None,
         )

@@ -362,8 +362,7 @@ def test_transplant_bad_magic_exits_2(tmp_path):
 
 def test_cli_import_skips_scipy_signal():
     # A fresh interpreter: this one has already imported whatever the other
-    # tests pulled in. No scipy module at all, scipy.signal included: only
-    # scoring a contour imports scipy.spatial.
+    # tests pulled in. voskit runs on numpy alone, so no scipy module loads.
     src = os.path.dirname(os.path.dirname(voskit.__file__))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import voskit.cli; "
@@ -373,6 +372,26 @@ def test_cli_import_skips_scipy_signal():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_eval_runs_with_scipy_blocked(built_corpus, tmp_path, capsys):
+    # A fresh interpreter where sys.modules["scipy"] = None makes every scipy
+    # import fail; scoring must give the in-process stdout and report.
+    src = os.path.dirname(os.path.dirname(voskit.__file__))
+    blocked = tmp_path / "blocked.csv"
+    argv = ["eval", str(built_corpus), str(built_corpus), "--report", str(blocked)]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None; "
+        f"from voskit.cli import main; sys.exit(main({argv!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+    capsys.readouterr()
+    in_process = tmp_path / "in_process.csv"
+    assert run(["eval", built_corpus, built_corpus, "--report", in_process]) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out
+    assert blocked.read_bytes() == in_process.read_bytes()
 
 
 def test_version_flag(capsys):

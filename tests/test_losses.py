@@ -16,6 +16,7 @@ from voskit.losses import (
     ssim_loss,
     total_loss,
 )
+from voskit.motion_mlp import mlp_backward, mlp_forward
 from voskit.rng import Rng
 
 
@@ -213,6 +214,45 @@ def test_check_mlp_reports_a_nan_component_error_as_failure(monkeypatch):
     [result] = gradcheck.run_all(n_seeds=1)
     assert math.isnan(result.max_err)
     assert not result.ok
+
+
+def reference_check_mlp(seed):
+    """The per-component loop check_mlp ran before it called central_diff."""
+    params = gradcheck._randomized_params(seed)
+    rng = Rng(seed + 77)
+    x = rng.uniform_range(-1.0, 1.0, gradcheck.MLP_BATCH * 4).reshape(gradcheck.MLP_BATCH, 4)
+    c = rng.uniform_range(-1.0, 1.0, gradcheck.MLP_BATCH * 4).reshape(gradcheck.MLP_BATCH, 4)
+    _, cache = mlp_forward(params, x)
+    analytic = mlp_backward(params, cache, c)
+
+    def scalar():
+        value, _ = mlp_forward(params, x)
+        return float(np.sum(value * c))
+
+    stride, eps = gradcheck.HIDDEN_WEIGHT_STRIDE, gradcheck.FD_EPS
+    errors = []
+    for i, layer in enumerate(params):
+        for key in ("weight", "bias"):
+            arr = layer[key].reshape(-1)
+            expected = analytic[i][key].reshape(-1)
+            exhaustive = key == "bias" or i in (0, len(params) - 1)
+            indices = range(arr.size) if exhaustive else range(seed % stride, arr.size, stride)
+            for j in indices:
+                orig = arr[j]
+                arr[j] = orig + eps
+                fp = scalar()
+                arr[j] = orig - eps
+                fm = scalar()
+                arr[j] = orig
+                numeric = (fp - fm) / (2.0 * eps)
+                errors.append(max_err(expected[j : j + 1], np.array([numeric])))
+    return float(np.max(errors))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_check_mlp_equals_per_component_reference(seed):
+    # The seeds start the hidden-weight stride at three different offsets.
+    assert gradcheck.check_mlp(seed) == reference_check_mlp(seed)
 
 
 def test_ssim_loss_applies_the_window_five_times(monkeypatch):

@@ -123,6 +123,29 @@ def test_contour_f_equals_disk_dilation_reference(pair, tol):
     assert contour_f(pred, gt) == reference_contour_f(pred, gt)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mask_pairs(), st.integers(7, 50))
+def test_contour_f_equals_reference_at_wide_tolerances(pair, tol):
+    # Disks wider than the frame: row offsets leave the frame and column
+    # ranges are clipped at both edges.
+    pred, gt = pair
+    assert contour_f(pred, gt, tolerance_px=tol) == reference_contour_f(pred, gt, tol)
+
+
+def test_contour_f_tolerance_beyond_the_frame_matches_everything():
+    a = square((9, 14), 1, 1, 2)
+    b = np.zeros((9, 14), dtype=bool)
+    b[8, 13] = True
+    assert contour_f(a, b, tolerance_px=10**9) == 1.0
+    assert contour_f(a, b, tolerance_px=9 + 14) == 1.0
+    rng = Rng(3)
+    for _ in range(5):
+        p = rng.uniform(9 * 14).reshape(9, 14) > 0.7
+        g = rng.uniform(9 * 14).reshape(9, 14) > 0.9
+        assert contour_f(p, g, tolerance_px=10**9) == 1.0
+        assert contour_f(p, g, tolerance_px=9 + 14) == contour_f(p, g, tolerance_px=10**9)
+
+
 @pytest.mark.parametrize("tol", range(7))
 def test_contour_f_reference_edge_cases(tol):
     empty = np.zeros((9, 11), dtype=bool)

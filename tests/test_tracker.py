@@ -2,6 +2,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voskit.boxes import BBox
 from voskit.tracker import (
@@ -244,6 +247,53 @@ def test_compose_label_object_tie_prefers_smaller_id():
 def test_compose_label_empty_channels():
     label = compose_label({}, (3, 3))
     assert label.shape == (3, 3) and label.sum() == 0
+
+
+def reference_compose_label(channels, shape, threshold=0.5):
+    """Stacked argmax in id order: the first maximum wins, and the label is
+    0 where the maximum is <= threshold."""
+    if not channels:
+        return np.zeros(shape, dtype=np.uint8)
+    ids = sorted(channels)
+    stack = np.stack([channels[oid] for oid in ids])
+    winner = np.asarray(ids)[np.argmax(stack, axis=0)]
+    return np.where(stack.max(axis=0) > threshold, winner, 0).astype(np.uint8)
+
+
+# Few distinct values, so ties between channels and with the threshold are common.
+soft_values = st.one_of(
+    st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def channel_dicts(draw):
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    ids = draw(st.lists(st.integers(1, 255), min_size=0, max_size=5, unique=True))
+    return shape, {oid: draw(hnp.arrays(np.float64, shape, elements=soft_values)) for oid in ids}
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_dicts(), st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.99]))
+def test_compose_label_equals_stacked_argmax_reference(case, threshold):
+    shape, channels = case
+    label = compose_label(channels, shape, threshold)
+    assert label.dtype == np.uint8
+    assert np.array_equal(label, reference_compose_label(channels, shape, threshold))
+
+
+def test_filter_labels_with_the_box_threshold():
+    # A soft mask at 0.4: above the 0.3 threshold, so it is both boxed and
+    # labelled, and every labelled pixel lies inside its box.
+    channel = rect_channel((20, 30), 5, 4, 7, 6, value=0.4)
+    [frame] = filter_stream([{3: channel}], config=FilterConfig(threshold=0.3))
+    [row] = frame.rows
+    assert row.box == BBox(5, 4, 7, 6)
+    assert np.array_equal(frame.label, np.where(channel > 0.3, 3, 0))
+    ys, xs = np.nonzero(frame.label)
+    assert (xs >= row.box.x).all() and (xs < row.box.x + row.box.w).all()
+    assert (ys >= row.box.y).all() and (ys < row.box.y + row.box.h).all()
 
 
 def test_write_track_csv(tmp_path):
