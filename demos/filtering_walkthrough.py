@@ -34,8 +34,14 @@ def main() -> None:
             blobs=2, blob_size=(20, 34), min_distance=50.0, flip_prob=0.03
         ),
     )
-    labels, tracks, _ = generate(cfg)
-    frames, blob_events = corrupt(labels, cfg)
+    # generate and corrupt hand out one frame at a time; the demo keeps all
+    # 14 so it can print the before/after table at the end.
+    labels, frames, blob_events = [], [], []
+    for t, (label, _boxes, _clipped) in enumerate(generate(cfg), start=1):
+        channels, blobs = corrupt(label, t, cfg)
+        labels.append(label)
+        frames.append(channels)
+        blob_events.extend(blobs)
     print(f"scene: {cfg.frames} frames {cfg.height}x{cfg.width}, "
           f"{len(blob_events)} distractor blobs injected from frame 3 on")
 

@@ -13,7 +13,6 @@ from .boxes import (
     attention_map,
     bbox_from_mask,
     box_delta,
-    cv_predict,
     filter_mask,
 )
 from .checkpoint import (
@@ -29,14 +28,13 @@ from .checkpoint import (
     transplant,
 )
 from .corpus import CorpusError, read_pgm, write_pgm
-from .grid import GaussianWindow, gaussian_window, windowed_covariance, windowed_mean, windowed_moments
+from .grid import GaussianWindow, gaussian_window, windowed_mean, windowed_statistics
 from .losses import (
     LossOut,
     LossWeights,
     ce_loss,
     fit_toy_segmenter,
     iou_loss,
-    mean_total_loss,
     ssim_loss,
     total_loss,
 )

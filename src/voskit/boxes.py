@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_BOX_SIZE = 1.0
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -52,20 +54,15 @@ def box_delta(cur: BBox, prev: BBox) -> Motion:
     return Motion(cur.x - prev.x, cur.y - prev.y, cur.w - prev.w, cur.h - prev.h)
 
 
-def apply_motion(box: BBox, motion: Motion, min_size: float = 1.0) -> BBox:
+def apply_motion(box: BBox, motion: Motion) -> BBox:
     """Advance a box by one motion step; width/height are clamped at
-    min_size so a prediction can never collapse to an empty gate."""
+    MIN_BOX_SIZE so a prediction can never collapse to an empty gate."""
     return BBox(
         x=box.x + motion.dx,
         y=box.y + motion.dy,
-        w=max(box.w + motion.dw, min_size),
-        h=max(box.h + motion.dh, min_size),
+        w=max(box.w + motion.dw, MIN_BOX_SIZE),
+        h=max(box.h + motion.dh, MIN_BOX_SIZE),
     )
-
-
-def cv_predict(prev: BBox, prev2: BBox) -> BBox:
-    """Constant-velocity prediction: repeat the last frame-to-frame motion."""
-    return apply_motion(prev, box_delta(prev, prev2))
 
 
 def bbox_from_mask(

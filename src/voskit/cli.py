@@ -17,6 +17,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -28,7 +29,15 @@ from . import __version__, checkpoint, corpus, metrics, synth
 from .boxes import bbox_from_mask
 from .gradcheck import run_all
 from .motion_mlp import MotionPredictor, dataset_loss, extract_triples, train_pt
-from .tracker import FilterConfig, TrackRow, compose_label, filter_stream, write_track_csv
+from .tracker import (
+    TRACK_CSV_HEADER,
+    FilterConfig,
+    TrackRow,
+    compose_label,
+    filter_stream,
+    track_csv_row,
+    write_track_csv,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -62,23 +71,27 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.sequences):
         cfg = dataclasses.replace(base, seed=base.seed + k)
-        labels, tracks, clips = synth.generate(cfg)
-        channels, _blobs = synth.corrupt(labels, cfg)
         seq_dir = os.path.join(args.out, f"{args.prefix}{k:04d}")
-        corpus.write_mask_dir(os.path.join(seq_dir, corpus.GT_DIR), labels)
-        composed = (
-            compose_label(frame, (cfg.height, cfg.width)) for frame in channels
-        )
-        corpus.write_mask_dir(os.path.join(seq_dir, corpus.PRED_DIR), composed)
-        rows = [
-            TrackRow(frame=t, object_id=oid, box=box, source="gt")
-            for oid in sorted(tracks)
-            for t, box in enumerate(tracks[oid], start=1)
-        ]
-        rows.sort(key=lambda r: (r.frame, r.object_id))
-        write_track_csv(rows, os.path.join(seq_dir, corpus.TRACKS_NAME))
+        gt_dir = os.path.join(seq_dir, corpus.GT_DIR)
+        pred_dir = os.path.join(seq_dir, corpus.PRED_DIR)
+        os.makedirs(gt_dir, exist_ok=True)
+        os.makedirs(pred_dir, exist_ok=True)
+        clipped = []
+        with open(os.path.join(seq_dir, corpus.TRACKS_NAME), "w", newline="") as fh:
+            track_log = csv.writer(fh)
+            track_log.writerow(TRACK_CSV_HEADER)
+            for t, (label, boxes, clipped_ids) in enumerate(synth.generate(cfg), start=1):
+                channels, _blobs = synth.corrupt(label, t, cfg)
+                name = corpus.frame_name(t)
+                corpus.write_pgm(os.path.join(gt_dir, name), label)
+                corpus.write_pgm(os.path.join(pred_dir, name), compose_label(channels, label.shape))
+                track_log.writerows(
+                    track_csv_row(TrackRow(frame=t, object_id=oid, box=boxes[oid], source="gt"))
+                    for oid in sorted(boxes)
+                )
+                clipped.extend([t, oid] for oid in clipped_ids)
         echo = synth.scene_to_json(cfg)
-        echo["clipped"] = [[t, oid] for t, oid in clips]
+        echo["clipped"] = clipped
         _dump_json(echo, os.path.join(seq_dir, corpus.SCENE_NAME))
     print(f"wrote {args.sequences} sequence(s) to {args.out}")
     return EXIT_OK

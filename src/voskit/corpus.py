@@ -164,6 +164,6 @@ def label_ids(frames) -> list[int]:
 
 
 def channels_from_labels(frame: np.ndarray, ids) -> dict[int, np.ndarray]:
-    """Per-object indicator channels (float64) for a label frame. Every id
-    in ids gets a channel, zero-filled when absent from the frame."""
-    return {i: (frame == i).astype(np.float64) for i in ids}
+    """Per-object boolean indicator channels for a label frame. Every id in
+    ids gets a channel, all False when absent from the frame."""
+    return {i: frame == i for i in ids}

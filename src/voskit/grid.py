@@ -99,33 +99,22 @@ def windowed_mean_adjoint(a: np.ndarray, w: GaussianWindow) -> np.ndarray:
     return _axis_operator(a.shape[0], w).T @ a @ _axis_operator(a.shape[1], w)
 
 
-def windowed_moments(g: np.ndarray, w: GaussianWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel weighted mean and variance of g under window w.
-
-    Variance is E[x^2] - E[x]^2, clamped at 0 to absorb cancellation noise
-    on locally constant input.
-    """
-    g = as_grid(g)
-    mean = windowed_mean(g, w)
-    var = windowed_mean(g * g, w) - mean * mean
-    return mean, np.maximum(var, 0.0)
-
-
 def windowed_statistics(
     a: np.ndarray, b: np.ndarray, w: GaussianWindow
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Means, variances and covariance of two grids under window w, as
-    ``(mu_a, mu_b, var_a, var_b, cov)`` from five window applications. The
-    covariance is E[ab] - E[a]E[b], reusing the two means."""
+    ``(mu_a, mu_b, var_a, var_b, cov)`` from five window applications.
+
+    Each variance is E[x^2] - E[x]^2, clamped at 0 to absorb cancellation
+    noise on locally constant input; the covariance is E[ab] - E[a]E[b],
+    reusing the two means.
+    """
     a = as_grid(a)
     b = as_grid(b)
     check_same_shape(a, b)
-    mu_a, var_a = windowed_moments(a, w)
-    mu_b, var_b = windowed_moments(b, w)
+    mu_a = windowed_mean(a, w)
+    var_a = np.maximum(windowed_mean(a * a, w) - mu_a * mu_a, 0.0)
+    mu_b = windowed_mean(b, w)
+    var_b = np.maximum(windowed_mean(b * b, w) - mu_b * mu_b, 0.0)
     cov = windowed_mean(a * b, w) - mu_a * mu_b
     return mu_a, mu_b, var_a, var_b, cov
-
-
-def windowed_covariance(a: np.ndarray, b: np.ndarray, w: GaussianWindow) -> np.ndarray:
-    """Per-pixel weighted covariance E[ab] - E[a]E[b]."""
-    return windowed_statistics(a, b, w)[-1]

@@ -174,25 +174,6 @@ def total_loss(
     return LossOut(value=value, grad=grad)
 
 
-def mean_total_loss(
-    preds: list[np.ndarray],
-    targets: list[np.ndarray],
-    weights: LossWeights = LossWeights(),
-    window: GaussianWindow | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Average the combined loss over object channels.
-
-    Keeps the loss scale independent of how many objects a frame carries;
-    returns the mean value and the per-channel gradients (each already
-    divided by the channel count).
-    """
-    if len(preds) != len(targets) or not preds:
-        raise ValueError("need equal, nonzero numbers of prediction and target channels")
-    k = len(preds)
-    outs = [total_loss(p, t, weights, window) for p, t in zip(preds, targets)]
-    return sum(o.value for o in outs) / k, [o.grad / k for o in outs]
-
-
 def fit_toy_segmenter(
     features: np.ndarray,
     target: np.ndarray,

@@ -49,13 +49,18 @@ def jaccard(pred: np.ndarray, gt: np.ndarray) -> float:
     return np.count_nonzero(p & g) / union
 
 
+def erode(mask: np.ndarray, edge: bool = False) -> np.ndarray:
+    """4-neighbour erosion of a boolean mask: a pixel stays set when it and
+    its four neighbours are set, neighbours beyond the frame reading as edge."""
+    p = np.pad(mask, 1, constant_values=edge)
+    return mask & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+
+
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     """Boundary of a binary mask: foreground pixels with a 4-neighbor in the
     background, the frame edge counting as background."""
     m = _as_binary(mask)
-    p = np.pad(m, 1)
-    interior = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
-    return m & ~interior
+    return m & ~erode(m)
 
 
 def contour_tolerance(shape: tuple[int, int]) -> int:

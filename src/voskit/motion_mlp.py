@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BBox, Motion, box_delta
+from .boxes import MIN_BOX_SIZE, BBox, Motion, box_delta
 from .rng import Rng
 
 LAYER_SIZES = (4, 64, 64, 64, 64, 4)
@@ -163,8 +163,8 @@ def pt_loss(
     ``lambda_small`` when the box produced by the predicted motion has
     smaller area than the box produced by the target motion; as in
     :func:`~voskit.boxes.apply_motion`, moved widths and heights are
-    clamped at 1. Returns the per-example losses (...) and their gradients
-    w.r.t. ``pred`` (..., 4).
+    clamped at ``MIN_BOX_SIZE``. Returns the per-example losses (...) and
+    their gradients w.r.t. ``pred`` (..., 4).
     """
     pred, target, prev = (np.asarray(a, dtype=np.float64) for a in (pred, target, prev))
     if pred.shape[-1:] != (4,) or not pred.shape == target.shape == prev.shape:
@@ -173,7 +173,7 @@ def pt_loss(
         raise ValueError(f"lambda_small must be >= 1, got {lambda_small}")
     if not all(np.isfinite(a).all() for a in (pred, target, prev)):
         raise ValueError("motions and boxes must be finite")
-    pred_wh, target_wh = (np.maximum(prev[..., 2:] + m[..., 2:], 1.0) for m in (pred, target))
+    pred_wh, target_wh = (np.maximum(prev[..., 2:] + m[..., 2:], MIN_BOX_SIZE) for m in (pred, target))
     scale = np.where(pred_wh.prod(axis=-1) < target_wh.prod(axis=-1), lambda_small, 1.0)
     value, grad = smooth_l1(pred - target)
     return scale * value.mean(axis=-1), scale[..., None] * grad / 4.0

@@ -1,13 +1,15 @@
 """Deterministic synthetic mask sequences with known motion.
 
-``generate`` renders multi-object label sequences whose per-frame bounding
-boxes are known analytically, so box-tracking code can be tested against
-zero-error ground truth. ``corrupt`` degrades the ground truth into
-per-object soft masks the way a real matching-based segmenter fails:
-boundary pixels flip with a small probability, and spurious far-field blobs
-(soft value 0.9) appear from frame 3 on, placed at least a configured
-distance from the true object. Frames 1 and 2 never receive blobs, so the
-first two boxes of every track are trustworthy.
+``generate`` renders a multi-object label sequence one frame at a time,
+together with each frame's analytic bounding boxes, so box-tracking code can
+be tested against zero-error ground truth. ``corrupt`` degrades one ground
+truth frame into per-object soft masks the way a real matching-based
+segmenter fails: boundary pixels flip with a small probability, and spurious
+far-field blobs (soft value 0.9) appear from frame 3 on, placed at least a
+configured distance from the true object. Frames 1 and 2 never receive
+blobs, so the first two boxes of every track are trustworthy. A consumer
+that handles each frame before asking for the next holds one frame in
+memory, whatever the sequence length.
 
 All randomness flows from the scene seed through counter-based streams
 keyed by (frame, object), so output is bit-identical across platforms and
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import BBox
+from .metrics import erode
 from .rng import Rng
 
 BLOB_VALUE = 0.9
@@ -177,22 +180,20 @@ def _render(frame: np.ndarray, obj: ObjectSpec, box: BBox) -> bool:
 
 
 def generate(cfg: SceneConfig):
-    """Render the scene. Returns (labels, tracks, clip_events) where labels
-    is a list of uint8 frames, tracks maps object id to its per-frame
-    analytic boxes, and clip_events lists (frame, object_id) pairs where the
-    rendered object lost pixels to the frame boundary."""
-    tracks: dict[int, list[BBox]] = {o.object_id: [] for o in cfg.objects}
-    labels: list[np.ndarray] = []
-    clip_events: list[tuple[int, int]] = []
+    """Render the scene one frame at a time. Yields (label, boxes,
+    clipped_ids) per frame: the uint8 label frame, each object's analytic box
+    by id, and the ids of objects that lost pixels to the frame boundary.
+    An object that leaves the frame entirely raises SceneError when its
+    frame is reached."""
     for t in range(1, cfg.frames + 1):
-        frame = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
+        label = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
+        boxes: dict[int, BBox] = {}
+        clipped_ids: list[int] = []
         for obj in cfg.objects:
-            box = analytic_box(obj, t)
-            tracks[obj.object_id].append(box)
-            if _render(frame, obj, box):
-                clip_events.append((t, obj.object_id))
-        labels.append(frame)
-    return labels, tracks, clip_events
+            box = boxes[obj.object_id] = analytic_box(obj, t)
+            if _render(label, obj, box):
+                clipped_ids.append(obj.object_id)
+        yield label, boxes, clipped_ids
 
 
 def _box_gap(a: BBox, b: BBox) -> float:
@@ -202,22 +203,11 @@ def _box_gap(a: BBox, b: BBox) -> float:
     return math.hypot(gx, gy)
 
 
-def _flip_band(indicator: np.ndarray) -> np.ndarray:
+def _flip_band(fg: np.ndarray) -> np.ndarray:
     """Pixels eligible for boundary noise: the one-pixel ring on either side
-    of the object contour (4-connectivity)."""
-    fg = indicator > 0.5
-    up = np.zeros_like(fg)
-    down = np.zeros_like(fg)
-    left = np.zeros_like(fg)
-    right = np.zeros_like(fg)
-    up[:-1] = fg[1:]
-    down[1:] = fg[:-1]
-    left[:, :-1] = fg[:, 1:]
-    right[:, 1:] = fg[:, :-1]
-    neighbor = up | down | left | right
-    dilated = fg | neighbor
-    eroded = fg & up & down & left & right
-    return dilated & ~eroded
+    of the object contour (4-connectivity), i.e. the dilation of fg minus
+    its erosion, the frame edge counting as background."""
+    return ~erode(~fg, edge=True) & ~erode(fg)
 
 
 @dataclass(frozen=True)
@@ -227,44 +217,43 @@ class BlobEvent:
     box: BBox
 
 
-def corrupt(labels, cfg: SceneConfig):
-    """Degrade a generated label sequence into per-object soft channels.
+def corrupt(label: np.ndarray, t: int, cfg: SceneConfig):
+    """Degrade frame t (1-based) of a generated sequence into per-object
+    soft channels.
 
-    Returns (frames, blob_events): frames is a list of {object_id: float64
-    mask} dicts; blob_events records every injected blob so tests can assert
-    their removal. Deterministic in cfg.seed.
+    Returns (channels, blob_events): channels maps each object id to its
+    float64 soft mask; blob_events records the frame's injected blobs so
+    tests can assert their removal. Deterministic in (cfg.seed, t).
     """
     spec = cfg.corruption
-    lo, hi = spec.blob_size
+    hi = spec.blob_size[1]
     if hi > cfg.width or hi > cfg.height:
         raise SceneError(f"blob size {hi} exceeds frame {cfg.height}x{cfg.width}")
-    base = Rng(cfg.seed)
-    frames_out: list[dict[int, np.ndarray]] = []
+    base = Rng(cfg.seed).spawn(t)
+    channels: dict[int, np.ndarray] = {}
     blob_events: list[BlobEvent] = []
-    for t, label in enumerate(labels, start=1):
-        channels: dict[int, np.ndarray] = {}
-        for obj in cfg.objects:
-            channel = (label == obj.object_id).astype(np.float64)
-            rng = base.spawn(t).spawn(obj.object_id)
-            if spec.flip_prob > 0.0:
-                band = np.flatnonzero(_flip_band(channel))
-                if band.size:
-                    draws = rng.uniform(band.size)
-                    hits = band[draws < spec.flip_prob]
-                    flat = channel.reshape(-1)
-                    flat[hits] = 1.0 - flat[hits]
-            if t >= 3 and spec.blobs > 0:
-                true_box = analytic_box(obj, t)
-                for _ in range(spec.blobs):
-                    blob = _place_blob(rng, cfg, true_box)
-                    x0, y0 = int(blob.x), int(blob.y)
-                    x1, y1 = x0 + int(blob.w), y0 + int(blob.h)
-                    patch = channel[y0:y1, x0:x1]
-                    np.maximum(patch, BLOB_VALUE, out=patch)
-                    blob_events.append(BlobEvent(frame=t, object_id=obj.object_id, box=blob))
-            channels[obj.object_id] = channel
-        frames_out.append(channels)
-    return frames_out, blob_events
+    for obj in cfg.objects:
+        fg = label == obj.object_id
+        channel = fg.astype(np.float64)
+        rng = base.spawn(obj.object_id)
+        if spec.flip_prob > 0.0:
+            band = np.flatnonzero(_flip_band(fg))
+            if band.size:
+                draws = rng.uniform(band.size)
+                hits = band[draws < spec.flip_prob]
+                flat = channel.reshape(-1)
+                flat[hits] = 1.0 - flat[hits]
+        if t >= 3 and spec.blobs > 0:
+            true_box = analytic_box(obj, t)
+            for _ in range(spec.blobs):
+                blob = _place_blob(rng, cfg, true_box)
+                x0, y0 = int(blob.x), int(blob.y)
+                x1, y1 = x0 + int(blob.w), y0 + int(blob.h)
+                patch = channel[y0:y1, x0:x1]
+                np.maximum(patch, BLOB_VALUE, out=patch)
+                blob_events.append(BlobEvent(frame=t, object_id=obj.object_id, box=blob))
+        channels[obj.object_id] = channel
+    return channels, blob_events
 
 
 def _place_blob(rng: Rng, cfg: SceneConfig, true_box: BBox) -> BBox:

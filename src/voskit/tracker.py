@@ -6,8 +6,9 @@ into a binary attention gate, and multiplied into the object's predicted
 soft mask. The box is then reinitialized from the filtered mask, so the
 track follows what survives the gate.
 
-Frames are dicts mapping object id -> soft mask (H x W finite floats in
-[0, 1]); an object missing from a frame is absent, like an empty mask.
+Frames are dicts mapping object id -> soft mask (H x W finite values in
+[0, 1]; a boolean mask counts as 0/1); an object missing from a frame is
+absent, like an empty mask.
 The first two frames of the sequence, and the first two frames an object is
 seen with a usable box, pass through ungated (warm-up: two boxes are needed
 before a motion exists). If gating empties an object's mask, the frame falls
@@ -66,7 +67,6 @@ class FilteredFrame:
 class FilterConfig:
     margin_frac: float = 0.1
     threshold: float = 0.5
-    min_box_size: float = 1.0
     keep_gates: bool = False
 
 
@@ -142,7 +142,7 @@ def filter_stream(
                 motion = box_delta(prev, prev2)
                 if variant == SOURCE_PT:
                     motion = model.predict_motion(motion)
-                predicted = apply_motion(prev, motion, cfg.min_box_size)
+                predicted = apply_motion(prev, motion)
                 gate = attention_map(predicted, shape[0], shape[1], cfg.margin_frac)
                 filtered = filter_mask(gate, channel)
                 box = bbox_from_mask(filtered, threshold=cfg.threshold)
@@ -189,14 +189,16 @@ def run_filter(
     return out, rows
 
 
+def track_csv_row(row: TrackRow) -> list:
+    """One line of the track log as CSV fields; an absent box leaves x, y,
+    w, h empty."""
+    coords = ["", "", "", ""] if row.box is None else [repr(v) for v in row.box.as_tuple()]
+    return [row.frame, row.object_id, *coords, row.source]
+
+
 def write_track_csv(rows: Iterable[TrackRow], path) -> None:
-    """Write the track log; absent boxes leave x, y, w, h empty."""
+    """Write the track log, header first."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACK_CSV_HEADER)
-        for row in rows:
-            if row.box is None:
-                coords = ["", "", "", ""]
-            else:
-                coords = [repr(v) for v in row.box.as_tuple()]
-            writer.writerow([row.frame, row.object_id, *coords, row.source])
+        writer.writerows(track_csv_row(row) for row in rows)

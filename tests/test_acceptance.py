@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from voskit import checkpoint, corpus
-from voskit.boxes import BBox, Motion, apply_motion, cv_predict
+from voskit.boxes import BBox, Motion, apply_motion, box_delta
 from voskit.cli import main
 from voskit.gradcheck import TOLERANCES, run_all
 from voskit.losses import (
@@ -162,13 +162,19 @@ def test_criterion_3_cv_oracle_and_filter_lift():
 
     for k in range(n_sequences):
         cfg = cv_oracle_scene(1000 + k)
-        labels, tracks, clips = generate(cfg)
+        labels, boxes, clips, frames, blob_events = [], [], [], [], []
+        for t, (label, frame_boxes, clipped_ids) in enumerate(generate(cfg), start=1):
+            channels, blobs = corrupt(label, t, cfg)
+            labels.append(label)
+            boxes.append(frame_boxes[1])
+            clips.extend(clipped_ids)
+            frames.append(channels)
+            blob_events.extend(blobs)
         assert not clips, "oracle scenes must stay fully inside the frame"
-        frames, blob_events = corrupt(labels, cfg)
 
-        boxes = tracks[1]
         for t in range(2, len(boxes)):
-            predicted = cv_predict(boxes[t - 1], boxes[t - 2])
+            prev, prev2 = boxes[t - 1], boxes[t - 2]
+            predicted = apply_motion(prev, box_delta(prev, prev2))
             if predicted.as_tuple() != boxes[t].as_tuple():
                 cv_exact = False
 

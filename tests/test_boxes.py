@@ -8,7 +8,6 @@ from voskit.boxes import (
     attention_map,
     bbox_from_mask,
     box_delta,
-    cv_predict,
     filter_mask,
 )
 
@@ -34,17 +33,6 @@ def test_apply_motion_clamps_size():
     box = BBox(5, 5, 3, 3)
     out = apply_motion(box, Motion(0, 0, -10, -10))
     assert out.w == 1.0 and out.h == 1.0  # never collapses to empty
-
-
-def test_cv_predict_repeats_last_motion():
-    b1 = BBox(0, 0, 10, 10)
-    b2 = BBox(4, 2, 10, 10)
-    assert cv_predict(b2, b1) == BBox(8, 4, 10, 10)
-
-
-def test_cv_predict_stationary():
-    b = BBox(7, 9, 5, 5)
-    assert cv_predict(b, b) == b
 
 
 def test_bbox_from_mask_binary_threshold():

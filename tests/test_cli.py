@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,43 @@ def test_synth_unknown_scene_key_exits_2(tmp_path):
 
 def test_synth_missing_scene_file_exits_2(tmp_path):
     assert run(["synth", tmp_path / "nope.json", tmp_path / "out"]) == EXIT_INPUT
+
+
+def test_synth_object_leaving_mid_sequence_exits_2_after_earlier_frames(tmp_path, capsys):
+    # x runs 70, 82, 94: the object is gone from the 90-wide frame at frame 3
+    leaving = {"id": 1, "box": [70, 20, 6, 6], "motion": {"kind": "linear", "v": [12, 0]}}
+    scene = dict(SCENE, objects=[leaving])
+    out = tmp_path / "out"
+    assert run(["synth", write_scene(tmp_path, scene), out]) == EXIT_INPUT
+    assert "fully outside" in capsys.readouterr().err
+    seq = out / "seq0000"
+    # frames are written as they are made, so the two before the error stay
+    assert sorted(os.listdir(seq / "masks_gt")) == ["00001.pgm", "00002.pgm"]
+    assert sorted(os.listdir(seq / "masks_pred")) == ["00001.pgm", "00002.pgm"]
+    assert len((seq / "tracks.csv").read_text().splitlines()) == 3
+    assert not (seq / "scene.json").exists()
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# sha256 of every relative path and file of `synth --sequences 2` plus the cv
+# `filter` of it, on SCENE, as written before synth streamed frame by frame
+SYNTH_FILTER_DIGEST = "b4b818ccf3d9bfea46d6f8f98f3875ce2d2e9eb5a03fd90e4ce5ac14466c790c"
+
+
+def test_synth_and_filter_tree_matches_golden_digest(tmp_path):
+    scene = write_scene(tmp_path)
+    out = tmp_path / "out"
+    assert run(["synth", scene, out / "src", "--sequences", "2"]) == EXIT_OK
+    assert run(["filter", out / "src", out / "filtered"]) == EXIT_OK
+    assert tree_digest(out) == SYNTH_FILTER_DIGEST
 
 
 # --- filter ---

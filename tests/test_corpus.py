@@ -154,7 +154,7 @@ def test_label_ids_and_channels():
     channels = channels_from_labels(seq[0], [1, 2])
     assert set(channels) == {1, 2}
     for oid in (1, 2):
-        assert channels[oid].dtype == np.float64
+        assert channels[oid].dtype == bool
         np.testing.assert_array_equal(channels[oid], (seq[0] == oid).astype(np.float64))
 
 

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from voskit.grid import (
     gaussian_window,
-    windowed_covariance,
     windowed_mean,
     windowed_mean_adjoint,
-    windowed_moments,
+    windowed_statistics,
 )
 from voskit.rng import Rng
 
@@ -111,7 +110,7 @@ def test_windowed_moments_match_brute_force():
     w = gaussian_window()
     for seed in range(5):
         g = random_grid(seed)
-        mean, var = windowed_moments(g, w)
+        mean, _, var, _, _ = windowed_statistics(g, g, w)
         ref_mean = brute_windowed_mean(g, w.weights)
         # E[(x - mu)^2] computed directly, not via the difference of squares
         k, r = w.size, w.size // 2
@@ -129,7 +128,7 @@ def test_windowed_moments_match_brute_force():
 def test_windowed_covariance_matches_brute_force():
     w = gaussian_window()
     a, b = random_grid(11), random_grid(12)
-    cov = windowed_covariance(a, b, w)
+    cov = windowed_statistics(a, b, w)[-1]
     ma = brute_windowed_mean(a, w.weights)
     mb = brute_windowed_mean(b, w.weights)
     k, r = w.size, w.size // 2
@@ -147,14 +146,14 @@ def test_windowed_covariance_matches_brute_force():
 def test_covariance_of_grid_with_itself_is_variance():
     w = gaussian_window()
     g = random_grid(21)
-    _, var = windowed_moments(g, w)
-    assert np.allclose(windowed_covariance(g, g, w), var, atol=1e-12)
+    _, _, var, _, cov = windowed_statistics(g, g, w)
+    assert np.allclose(cov, var, atol=1e-12)
 
 
 def test_shape_mismatch_rejected():
     w = gaussian_window()
     with pytest.raises(ValueError):
-        windowed_covariance(np.zeros((3, 3)), np.zeros((4, 3)), w)
+        windowed_statistics(np.zeros((3, 3)), np.zeros((4, 3)), w)
 
 
 def test_non_2d_rejected():

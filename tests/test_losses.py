@@ -12,7 +12,6 @@ from voskit.losses import (
     ce_loss,
     fit_toy_segmenter,
     iou_loss,
-    mean_total_loss,
     ssim_loss,
     total_loss,
 )
@@ -262,28 +261,6 @@ def test_ssim_loss_applies_the_window_five_times(monkeypatch):
     pred, target = soft_pair(3, size=8)
     ssim_loss(pred, target)
     assert len(calls) == 5
-
-
-# --- channel averaging ---
-
-
-def test_mean_total_loss_averages_channels():
-    p1, t1 = soft_pair(1, size=8)
-    p2, t2 = soft_pair(2, size=8)
-    value, grads = mean_total_loss([p1, p2], [t1, t2])
-    v1 = total_loss(p1, t1).value
-    v2 = total_loss(p2, t2).value
-    assert abs(value - (v1 + v2) / 2.0) < 1e-12
-    assert len(grads) == 2
-    assert np.allclose(grads[0], total_loss(p1, t1).grad / 2.0, atol=1e-12)
-
-
-def test_mean_total_loss_validates_lengths():
-    p, t = soft_pair(0, size=4)
-    with pytest.raises(ValueError):
-        mean_total_loss([p], [t, t])
-    with pytest.raises(ValueError):
-        mean_total_loss([], [])
 
 
 # --- toy separable fit ---

@@ -1,9 +1,15 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from voskit.boxes import BBox
-from voskit.metrics import jaccard
+from voskit.metrics import boundary_pixels, erode, jaccard
 from voskit.synth import (
     AcceleratingMotion,
     CorruptionSpec,
@@ -12,12 +18,38 @@ from voskit.synth import (
     SceneConfig,
     SceneError,
     SinusoidalMotion,
+    _flip_band,
     analytic_box,
     corrupt,
     generate,
     scene_from_json,
     scene_to_json,
 )
+
+
+def generate_all(cfg):
+    """List-building reference over the streaming ``generate``: every label
+    frame, each object's per-frame boxes and the (frame, object_id) clip
+    events, collected for the whole sequence."""
+    labels, clip_events = [], []
+    tracks = {o.object_id: [] for o in cfg.objects}
+    for t, (label, boxes, clipped_ids) in enumerate(generate(cfg), start=1):
+        labels.append(label)
+        for oid, box in boxes.items():
+            tracks[oid].append(box)
+        clip_events.extend((t, oid) for oid in clipped_ids)
+    return labels, tracks, clip_events
+
+
+def corrupt_all(labels, cfg):
+    """List-building reference over the per-frame ``corrupt``: every frame's
+    channel dict and all blob events of the sequence."""
+    frames, events = [], []
+    for t, label in enumerate(labels, start=1):
+        channels, blobs = corrupt(label, t, cfg)
+        frames.append(channels)
+        events.extend(blobs)
+    return frames, events
 
 
 def simple_scene(**overrides):
@@ -87,7 +119,7 @@ def test_analytic_box_integer_acceleration_stays_integral():
 
 def test_generate_shapes_and_ids():
     cfg = simple_scene()
-    labels, tracks, clips = generate(cfg)
+    labels, tracks, clips = generate_all(cfg)
     assert len(labels) == cfg.frames
     for frame in labels:
         assert frame.shape == (60, 90) and frame.dtype == np.uint8
@@ -98,7 +130,7 @@ def test_generate_shapes_and_ids():
 
 def test_generate_rectangle_matches_analytic_box_exactly():
     cfg = simple_scene()
-    labels, tracks, _ = generate(cfg)
+    labels, tracks, _ = generate_all(cfg)
     obj = cfg.objects[0]
     for t, frame in enumerate(labels, start=1):
         box = analytic_box(obj, t)
@@ -113,7 +145,7 @@ def test_generate_zero_velocity_repeats_first_frame():
     cfg = simple_scene(
         objects=(ObjectSpec(1, BBox(10, 10, 8, 6), motion=LinearMotion(0, 0)),)
     )
-    labels, _, _ = generate(cfg)
+    labels, _, _ = generate_all(cfg)
     for frame in labels[1:]:
         assert np.array_equal(frame, labels[0])
 
@@ -122,7 +154,7 @@ def test_generate_ellipse_inscribed_in_box():
     cfg = simple_scene(
         objects=(ObjectSpec(2, BBox(20, 15, 11, 7), shape="ellipse", motion=LinearMotion(0, 0)),)
     )
-    labels, _, _ = generate(cfg)
+    labels, _, _ = generate_all(cfg)
     on = labels[0] == 2
     ys, xs = np.nonzero(on)
     assert xs.min() >= 20 and xs.max() <= 30
@@ -138,7 +170,7 @@ def test_generate_records_clip_events():
         frames=6,
         objects=(ObjectSpec(1, BBox(80, 20, 8, 8), motion=LinearMotion(1, 0)),),
     )
-    labels, tracks, clips = generate(cfg)
+    labels, tracks, clips = generate_all(cfg)
     assert [t for t, oid in clips] == [4, 5, 6]
     assert all(oid == 1 for _, oid in clips)
     # mask still matches the clipped portion of the analytic box
@@ -154,13 +186,13 @@ def test_generate_fully_outside_object_raises():
         objects=(ObjectSpec(1, BBox(80, 20, 6, 6), motion=LinearMotion(12, 0)),),
     )
     with pytest.raises(SceneError):
-        generate(cfg)
+        generate_all(cfg)
 
 
 def test_generate_bitwise_deterministic():
     cfg = simple_scene()
-    a = generate(cfg)
-    b = generate(cfg)
+    a = generate_all(cfg)
+    b = generate_all(cfg)
     assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
     assert a[1] == b[1] and a[2] == b[2]
 
@@ -172,7 +204,7 @@ def test_overlapping_objects_later_id_wins():
             ObjectSpec(2, BBox(15, 15, 10, 10), motion=LinearMotion(0, 0)),
         )
     )
-    labels, _, _ = generate(cfg)
+    labels, _, _ = generate_all(cfg)
     assert labels[0][17, 17] == 2  # painted in config order; later object on top
     assert labels[0][12, 12] == 1
 
@@ -206,8 +238,8 @@ def test_config_validation():
 
 def test_corrupt_without_corruption_is_exact_indicator():
     cfg = simple_scene()
-    labels, _, _ = generate(cfg)
-    frames, events = corrupt(labels, cfg)
+    labels, _, _ = generate_all(cfg)
+    frames, events = corrupt_all(labels, cfg)
     assert events == []
     for label, channels in zip(labels, frames):
         assert set(channels) == {1, 2}
@@ -219,8 +251,8 @@ def test_corrupt_blob_count_and_placement():
     cfg = simple_scene(
         corruption=CorruptionSpec(blobs=2, blob_size=(8, 12), min_distance=25.0)
     )
-    labels, tracks, _ = generate(cfg)
-    frames, events = corrupt(labels, cfg)
+    labels, tracks, _ = generate_all(cfg)
+    frames, events = corrupt_all(labels, cfg)
     n_objects = len(cfg.objects)
     assert len(events) == 2 * n_objects * (cfg.frames - 2)
     assert all(e.frame >= 3 for e in events)
@@ -248,8 +280,8 @@ def rect_gap(a: BBox, b: BBox) -> float:
 
 def test_corrupt_no_blobs_on_first_two_frames():
     cfg = simple_scene(corruption=CorruptionSpec(blobs=3, blob_size=(8, 10), min_distance=10.0))
-    labels, _, _ = generate(cfg)
-    frames, events = corrupt(labels, cfg)
+    labels, _, _ = generate_all(cfg)
+    frames, events = corrupt_all(labels, cfg)
     assert all(e.frame >= 3 for e in events)
     for t in (1, 2):
         for oid, channel in frames[t - 1].items():
@@ -261,8 +293,8 @@ def test_corrupt_blob_is_connected_component_away_from_object():
         objects=(ObjectSpec(1, BBox(5, 5, 8, 8), motion=LinearMotion(1, 0)),),
         corruption=CorruptionSpec(blobs=1, blob_size=(6, 6), min_distance=30.0),
     )
-    labels, _, _ = generate(cfg)
-    frames, events = corrupt(labels, cfg)
+    labels, _, _ = generate_all(cfg)
+    frames, events = corrupt_all(labels, cfg)
     ch = frames[3][1]  # frame 4
     n_components = ndimage.label(ch > 0.5)[1]
     assert n_components == 2  # object + one blob
@@ -270,8 +302,8 @@ def test_corrupt_blob_is_connected_component_away_from_object():
 
 def test_corrupt_flips_degrade_j_only_on_boundary():
     cfg = simple_scene(corruption=CorruptionSpec(flip_prob=0.5))
-    labels, _, _ = generate(cfg)
-    frames, events = corrupt(labels, cfg)
+    labels, _, _ = generate_all(cfg)
+    frames, events = corrupt_all(labels, cfg)
     assert events == []
     degraded = 0
     for label, channels in zip(labels, frames):
@@ -291,9 +323,9 @@ def test_corrupt_flips_degrade_j_only_on_boundary():
 
 def test_corrupt_bitwise_deterministic():
     cfg = simple_scene(corruption=CorruptionSpec(blobs=2, blob_size=(8, 12), min_distance=20.0, flip_prob=0.1))
-    labels, _, _ = generate(cfg)
-    f1, e1 = corrupt(labels, cfg)
-    f2, e2 = corrupt(labels, cfg)
+    labels, _, _ = generate_all(cfg)
+    f1, e1 = corrupt_all(labels, cfg)
+    f2, e2 = corrupt_all(labels, cfg)
     assert e1 == e2
     for a, b in zip(f1, f2):
         for oid in a:
@@ -307,16 +339,78 @@ def test_corrupt_impossible_blob_placement_raises():
         objects=(ObjectSpec(1, BBox(8, 8, 12, 12), motion=LinearMotion(0, 0)),),
         corruption=CorruptionSpec(blobs=1, blob_size=(8, 8), min_distance=200.0),
     )
-    labels, _, _ = generate(cfg)
+    labels, _, _ = generate_all(cfg)
     with pytest.raises(SceneError):
-        corrupt(labels, cfg)
+        corrupt_all(labels, cfg)
 
 
 def test_corrupt_rejects_oversized_blob():
     cfg = simple_scene(corruption=CorruptionSpec(blobs=1, blob_size=(8, 500)))
-    labels, _, _ = generate(cfg)
+    labels, _, _ = generate_all(cfg)
     with pytest.raises(SceneError):
-        corrupt(labels, cfg)
+        corrupt_all(labels, cfg)
+
+
+def reference_flip_band(indicator: np.ndarray) -> np.ndarray:
+    """The flip band as first written: dilation minus erosion built from
+    four shifted copies (4-connectivity), the frame edge as background."""
+    fg = indicator > 0.5
+    up = np.zeros_like(fg)
+    down = np.zeros_like(fg)
+    left = np.zeros_like(fg)
+    right = np.zeros_like(fg)
+    up[:-1] = fg[1:]
+    down[1:] = fg[:-1]
+    left[:, :-1] = fg[:, 1:]
+    right[:, 1:] = fg[:, :-1]
+    neighbor = up | down | left | right
+    dilated = fg | neighbor
+    eroded = fg & up & down & left & right
+    return dilated & ~eroded
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(bool, st.tuples(st.integers(1, 11), st.integers(1, 11))))
+def test_flip_band_equals_shifted_copy_reference(fg):
+    band = reference_flip_band(fg.astype(np.float64))
+    assert np.array_equal(_flip_band(fg), band)
+    # the ring's inner half is the contour boundary: one erosion serves both
+    assert np.array_equal(fg & ~erode(fg), band & fg)
+    assert np.array_equal(boundary_pixels(fg), band & fg)
+
+
+def test_generate_and_corrupt_stream_in_constant_memory():
+    base = SceneConfig(
+        height=240,
+        width=427,
+        frames=3,
+        seed=4,
+        objects=(
+            ObjectSpec(1, BBox(60, 60, 40, 30), motion=SinusoidalMotion(30, 20, period=17)),
+            ObjectSpec(
+                2, BBox(280, 130, 44, 32), shape="ellipse", motion=SinusoidalMotion(-25, 15, period=11)
+            ),
+        ),
+        corruption=CorruptionSpec(blobs=2, blob_size=(15, 25), min_distance=30.0, flip_prob=0.02),
+    )
+
+    def streamed_peak(n):
+        cfg = dataclasses.replace(base, frames=n)
+        tracemalloc.start()
+        consumed = 0
+        for t, (label, _boxes, _clipped) in enumerate(generate(cfg), start=1):
+            channels, blobs = corrupt(label, t, cfg)
+            consumed += len(channels) + len(blobs)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert consumed == 2 * n + 4 * (n - 2)
+        return peak
+
+    peak_small = streamed_peak(30)
+    peak_large = streamed_peak(300)
+    ratio = peak_large / peak_small
+    detail = f"peak {peak_small / 1e6:.1f}MB at 30 frames, {peak_large / 1e6:.1f}MB at 300"
+    assert ratio < 1.5, detail
 
 
 # --- JSON round trip ---
