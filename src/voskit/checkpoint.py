@@ -162,7 +162,11 @@ def load(path) -> ParamStore:
         for dim in shape:
             n_values *= dim
         raw = reader.take(4 * n_values, f"entry {i} ({name}) data")
-        value = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:
+            value = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:
+            # A zero dim beside dims whose product numpy cannot index.
+            raise EntryShapeError(f"entry {i} ({name}) has unusable shape {shape}") from exc
         if name in store:
             raise EntryShapeError(f"duplicate entry name {name!r}")
         store.add(name, value)

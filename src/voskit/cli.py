@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -66,8 +67,6 @@ def cmd_synth(args) -> int:
         base = synth.scene_from_json(data)
     except (TypeError, ValueError) as exc:
         raise synth.SceneError(f"{args.scene}: {exc}") from exc
-    if args.sequences < 1:
-        raise synth.SceneError(f"--sequences must be >= 1, got {args.sequences}")
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.sequences):
         cfg = dataclasses.replace(base, seed=base.seed + k)
@@ -248,6 +247,21 @@ def cmd_transplant(args) -> int:
     return EXIT_OK
 
 
+def _at_least(kind, low):
+    """argparse type for a finite ``kind`` number >= low; argparse rejects
+    anything else with exit code 2."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voskit",
@@ -259,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="render a synthetic corpus from a scene config")
     p.add_argument("scene", help="scene config JSON")
     p.add_argument("out", help="output corpus directory")
-    p.add_argument("--sequences", type=int, default=1, help="sequence count (seeds step by 1)")
+    p.add_argument(
+        "--sequences", type=_at_least(int, 1), default=1, help="sequence count (seeds step by 1)"
+    )
     p.add_argument("--prefix", default="seq", help="sequence directory name prefix")
     p.set_defaults(func=cmd_synth)
 
@@ -268,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_corpus", help="output corpus directory")
     p.add_argument("--variant", choices=["cv", "pt"], default="cv")
     p.add_argument("--weights", help="TVCK weights for the pt variant")
-    p.add_argument("--margin", type=float, default=0.1, help="box expansion fraction")
+    p.add_argument(
+        "--margin", type=_at_least(float, 0.0), default=0.1, help="box expansion fraction"
+    )
     p.add_argument("--threshold", type=float, default=0.5, help="mask binarization threshold")
     p.add_argument("--dump-overlay", action="store_true", help="write attention-map PGMs")
     p.set_defaults(func=cmd_filter)
@@ -282,18 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-pt", help="train the motion model on ground-truth tracks")
     p.add_argument("corpus", nargs="+", help="corpora with masks_gt")
     p.add_argument("--out", required=True, help="output TVCK weights path")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lambda-small", type=float, default=2.0, dest="lambda_small")
-    p.add_argument("--weight-decay", type=float, default=0.0, dest="weight_decay")
+    p.add_argument("--epochs", type=_at_least(int, 0), default=50)
+    p.add_argument("--batch", type=_at_least(int, 1), default=16)
+    p.add_argument("--lr", type=_at_least(float, 0.0), default=1e-3)
+    p.add_argument("--lambda-small", type=_at_least(float, 1.0), default=2.0, dest="lambda_small")
+    p.add_argument("--weight-decay", type=_at_least(float, 0.0), default=0.0, dest="weight_decay")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_pt)
 
     p = sub.add_parser("gradcheck", help="audit analytic gradients against finite differences")
     p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds per check")
-    p.add_argument("--size", type=int, default=16, help="grid side length for loss checks")
+    p.add_argument("--seeds", type=_at_least(int, 1), default=10, help="number of seeds per check")
+    p.add_argument(
+        "--size", type=_at_least(int, 1), default=16, help="grid side length for loss checks"
+    )
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("transplant", help="copy prefixed weights between checkpoints")

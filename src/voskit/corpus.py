@@ -74,6 +74,8 @@ def read_pgm(path) -> np.ndarray:
     (width, height, maxval), offset = _read_header_tokens(blob, path)
     if not (0 < maxval <= 255):
         raise CorpusError(f"{path}: unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise CorpusError(f"{path}: image is {width}x{height}, need positive dims")
     expected = width * height
     data = blob[offset : offset + expected]
     if len(data) != expected:

@@ -1,8 +1,10 @@
 """Windowed statistics on dense 2-D grids.
 
-Grids are plain 2-D float numpy arrays (row-major, height x width). The
-module provides local weighted means, variances and covariances under a
-Gaussian window, the building blocks for structural-similarity scoring.
+Grids are plain 2-D float numpy arrays (row-major, height x width); every
+function also takes a stack of grids with leading axes (..., H, W) and
+treats each grid of the stack as a separate call would. The module provides
+local weighted means, variances and covariances under a Gaussian window,
+the building blocks for structural-similarity scoring.
 
 The Gaussian window is separable, so applying it to an H x W grid is one
 linear map per axis: ``windowed_mean(g) = A_h @ g @ A_w.T`` with ``A_h``
@@ -59,15 +61,16 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> GaussianWindow:
 
 
 def as_grid(a) -> np.ndarray:
-    """Validate and return a 2-D float64 grid."""
+    """Validate and return a float64 grid, or a stack of grids (..., H, W)."""
     g = np.asarray(a, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
+    if g.ndim < 2 or g.shape[-2] < 1 or g.shape[-1] < 1:
         raise ValueError(f"expected a 2-D grid with positive dims, got shape {g.shape}")
     return g
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
+    """The grid dims (the last two axes) agree; leading stack axes broadcast."""
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"grid shape mismatch: {a.shape} vs {b.shape}")
 
 
@@ -89,14 +92,16 @@ def _axis_operator(n: int, w: GaussianWindow) -> np.ndarray:
 def windowed_mean(g: np.ndarray, w: GaussianWindow) -> np.ndarray:
     """Apply the window as a local weighted mean with symmetric padding."""
     g = as_grid(g)
-    return _axis_operator(g.shape[0], w) @ g @ _axis_operator(g.shape[1], w).T
+    h, wd = g.shape[-2:]
+    return _axis_operator(h, w) @ g @ _axis_operator(wd, w).T
 
 
 def windowed_mean_adjoint(a: np.ndarray, w: GaussianWindow) -> np.ndarray:
     """Exact transpose of :func:`windowed_mean` as a linear operator:
     <windowed_mean(x), a> == <x, windowed_mean_adjoint(a)>."""
     a = as_grid(a)
-    return _axis_operator(a.shape[0], w).T @ a @ _axis_operator(a.shape[1], w)
+    h, wd = a.shape[-2:]
+    return _axis_operator(h, w).T @ a @ _axis_operator(wd, w)
 
 
 def windowed_statistics(

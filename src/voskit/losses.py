@@ -11,6 +11,9 @@ scale-free across resolutions:
 ``total_loss`` combines them with nonnegative weights. Every loss returns
 both its value and the exact derivative with respect to the prediction map,
 so the terms can drive gradient descent without an autograd framework.
+Every loss also scores a stack of predictions (..., H, W) against one
+(H, W) target in one call: the values are an array over the leading axes,
+each equal bit for bit to the float the slice alone would score.
 ``fit_toy_segmenter`` is a minimal end-to-end consumer: a per-pixel logistic
 model trained by plain gradient descent on the combined loss.
 """
@@ -38,9 +41,10 @@ SSIM_C2 = 0.03**2
 
 @dataclass(frozen=True)
 class LossOut:
-    """Loss value plus d(value)/d(prediction), same shape as the prediction."""
+    """Loss value plus d(value)/d(prediction), same shape as the prediction.
+    The value is a float for one grid and an array (...) for a stack."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
 
 
@@ -61,10 +65,18 @@ class LossWeights:
 
 
 def _check_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    """A prediction grid or stack (..., H, W) and one (H, W) target."""
     p = as_grid(pred)
     t = as_grid(target)
+    if t.ndim != 2:
+        raise ValueError(f"target must be one 2-D grid, got shape {t.shape}")
     check_same_shape(p, t)
     return p, t
+
+
+def _value(v) -> float | np.ndarray:
+    """A per-grid reduction as a float for one grid, an array for a stack."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def _check_binary(t: np.ndarray) -> None:
@@ -81,12 +93,11 @@ def ce_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     """
     p, t = _check_pair(pred, target)
     _check_binary(t)
-    n = p.size
     pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    value = -float(np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)))
-    grad = (-t / pc + (1.0 - t) / (1.0 - pc)) / n
+    value = -np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc), axis=(-2, -1))
+    grad = (-t / pc + (1.0 - t) / (1.0 - pc)) / t.size
     grad[(p < CLAMP_EPS) | (p > 1.0 - CLAMP_EPS)] = 0.0
-    return LossOut(value=value, grad=grad)
+    return LossOut(value=_value(value), grad=grad)
 
 
 def iou_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
@@ -96,12 +107,15 @@ def iou_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     (maximal) loss instead of 0/0.
     """
     p, t = _check_pair(pred, target)
-    inter = float(np.sum(p * t))
-    union = float(np.sum(p + t - p * t)) + IOU_EPS
+    inter = np.sum(p * t, axis=(-2, -1))
+    union = np.sum(p + t - p * t, axis=(-2, -1)) + IOU_EPS
     value = 1.0 - inter / union
-    # d inter/dp = t, d union/dp = 1 - t
-    grad = -(t * union - inter * (1.0 - t)) / union**2
-    return LossOut(value=value, grad=grad)
+    # d inter/dp = t, d union/dp = 1 - t. Square the union before it
+    # broadcasts: numpy squares a scalar with pow(), an array with x*x, and
+    # the two can differ in the last bit.
+    inter, union, union_sq = (v[..., None, None] for v in (inter, union, union**2))
+    grad = -(t * union - inter * (1.0 - t)) / union_sq
+    return LossOut(value=_value(value), grad=grad)
 
 
 def ssim_loss(
@@ -123,7 +137,6 @@ def ssim_loss(
     p, t = _check_pair(pred, target)
     if window is None:
         window = gaussian_window()
-    n = p.size
 
     mu_p, mu_t, var_p, var_t, cov = windowed_statistics(p, t, window)
 
@@ -132,7 +145,7 @@ def ssim_loss(
     b1 = mu_p * mu_p + mu_t * mu_t + SSIM_C1
     b2 = var_p + var_t + SSIM_C2
     ssim_map = (a1 * a2) / (b1 * b2)
-    value = 1.0 - float(np.mean(ssim_map))
+    value = 1.0 - np.mean(ssim_map, axis=(-2, -1))
 
     # Partials of the per-pixel SSIM w.r.t. the prediction's statistics.
     d_mu = (2.0 * mu_t * a2) / (b1 * b2) - 2.0 * mu_p * ssim_map / b1
@@ -145,7 +158,7 @@ def ssim_loss(
     g -= 2.0 * windowed_mean_adjoint(d_var * mu_p, window)
     g += t * windowed_mean_adjoint(d_cov, window)
     g -= windowed_mean_adjoint(d_cov * mu_t, window)
-    return LossOut(value=value, grad=-g / n)
+    return LossOut(value=_value(value), grad=-g / t.size)
 
 
 def total_loss(

@@ -34,17 +34,25 @@ GELU_COEFF = math.sqrt(2.0 / math.pi)
 SMOOTH_L1_DELTA = 1.0
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-form GeLU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) (x + 0.044715 x^3)), the factor GeLU and its
+    derivative share."""
     x = np.asarray(x, dtype=np.float64)
-    inner = GELU_COEFF * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    return np.tanh(GELU_COEFF * (x + 0.044715 * x**3))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Tanh-form GeLU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+    ``t`` is ``gelu_tanh(x)`` when the caller already has it."""
     x = np.asarray(x, dtype=np.float64)
-    inner = GELU_COEFF * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
+    t = gelu_tanh(x) if t is None else t
+    return 0.5 * x * (1.0 + t)
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """d gelu / dx; ``t`` is ``gelu_tanh(x)`` when the caller already has it."""
+    x = np.asarray(x, dtype=np.float64)
+    t = gelu_tanh(x) if t is None else t
     dinner = GELU_COEFF * (1.0 + 3.0 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
 
@@ -70,7 +78,9 @@ def init_params(seed: int = 0) -> list[dict[str, np.ndarray]]:
 
 
 def mlp_forward(params, x: np.ndarray):
-    """Forward pass over a (n, 4) batch. Returns (output, cache)."""
+    """Forward pass over a (n, 4) batch. Returns (output, cache); the cache
+    keeps each layer's input, pre-activation and GeLU tanh for the backward
+    pass."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -79,15 +89,21 @@ def mlp_forward(params, x: np.ndarray):
         raise ValueError(f"expected (n, {LAYER_SIZES[0]}) inputs, got {x.shape}")
     activations = [x]
     preacts = []
+    tanhs = []
     h = x
     last = len(params) - 1
     for i, layer in enumerate(params):
         z = h @ layer["weight"] + layer["bias"]
         preacts.append(z)
-        h = z if i == last else gelu(z)
+        if i == last:
+            h = z
+        else:
+            tanhs.append(gelu_tanh(z))
+            h = gelu(z, tanhs[-1])
         activations.append(h)
     out = h[0] if squeeze else h
-    return out, {"activations": activations, "preacts": preacts, "squeeze": squeeze}
+    cache = {"activations": activations, "preacts": preacts, "tanhs": tanhs, "squeeze": squeeze}
+    return out, cache
 
 
 def mlp_backward(params, cache, grad_out: np.ndarray) -> list[dict[str, np.ndarray]]:
@@ -100,7 +116,7 @@ def mlp_backward(params, cache, grad_out: np.ndarray) -> list[dict[str, np.ndarr
     last = len(params) - 1
     for i in range(last, -1, -1):
         if i != last:
-            delta = delta * gelu_grad(cache["preacts"][i])
+            delta = delta * gelu_grad(cache["preacts"][i], cache["tanhs"][i])
         a = cache["activations"][i]
         grads[i] = {"weight": a.T @ delta, "bias": delta.sum(axis=0)}
         if i > 0:

@@ -1,7 +1,10 @@
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voskit.checkpoint import (
     MAGIC,
@@ -263,3 +266,60 @@ def test_save_load_survives_random_stores(tmp_path):
         assert loaded.names() == store.names()
         for name, arr in store.items():
             np.testing.assert_array_equal(loaded.get(name), arr.astype(np.float32))
+
+
+# --- fuzzing ---
+
+
+def _blob(store: ParamStore) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/w.tvck"
+        save(store, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+TVCK_BLOB = _blob(sample_store())
+
+
+def _load_bytes(blob: bytes) -> ParamStore:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fuzz.tvck"
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return load(path)
+
+
+def test_zero_dim_beside_huge_dims_raises_entry_shape_error(tmp_path):
+    # No data bytes are declared, but numpy cannot make the empty array.
+    blob = MAGIC + b"\x01" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"a"
+    blob += struct.pack("<B", 3) + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1)
+    path = tmp_path / "z.tvck"
+    path.write_bytes(blob)
+    with pytest.raises(EntryShapeError):
+        load(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(TVCK_BLOB) - 1))
+def test_truncated_checkpoint_raises_checkpoint_error(cut):
+    with pytest.raises(CheckpointError):
+        _load_bytes(TVCK_BLOB[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(0, len(TVCK_BLOB) - 1), st.integers(1, 255)), min_size=1, max_size=4
+    )
+)
+def test_byte_flipped_checkpoint_loads_or_raises_checkpoint_error(flips):
+    blob = bytearray(TVCK_BLOB)
+    for pos, bits in flips:
+        blob[pos] ^= bits
+    try:
+        store = _load_bytes(bytes(blob))
+    except CheckpointError:
+        return
+    # A flip inside names or values can leave a well-formed file.
+    assert len(store) == len(sample_store())

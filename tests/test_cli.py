@@ -356,6 +356,51 @@ def test_gradcheck_cli_passes(capsys):
     assert "FAIL" not in out
 
 
+# The stdout of `gradcheck --seeds 2 --size 16` from the per-component
+# finite-difference driver; batching the perturbations must not move a digit.
+GRADCHECK_GOLDEN = (
+    "ce_loss        max err 1.231e-08  tol 1e-04  PASS\n"
+    "iou_loss       max err 3.659e-09  tol 1e-04  PASS\n"
+    "ssim_loss      max err 1.606e-09  tol 1e-03  PASS\n"
+    "total_loss     max err 1.098e-08  tol 1e-03  PASS\n"
+    "gelu           max err 3.426e-09  tol 1e-04  PASS\n"
+    "mlp_backward   max err 2.967e-06  tol 1e-04  PASS\n"
+)
+
+
+def test_gradcheck_stdout_matches_golden(capsys):
+    assert run(["gradcheck", "--seeds", "2", "--size", "16"]) == EXIT_OK
+    assert capsys.readouterr().out == GRADCHECK_GOLDEN
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--seeds", "0"],
+        ["gradcheck", "--seeds", "-1"],
+        ["gradcheck", "--size", "0"],
+        ["gradcheck", "--size", "-2"],
+        ["train-pt", "corpus", "--out", "w.tvck", "--batch", "0"],
+        ["train-pt", "corpus", "--out", "w.tvck", "--epochs", "-1"],
+        ["train-pt", "corpus", "--out", "w.tvck", "--lambda-small", "0.5"],
+        ["train-pt", "corpus", "--out", "w.tvck", "--lr", "nan"],
+        ["train-pt", "corpus", "--out", "w.tvck", "--weight-decay", "-0.1"],
+        ["filter", "in", "out", "--margin", "-1"],
+        ["filter", "in", "out", "--margin", "nan"],
+        ["synth", "scene.json", "out", "--sequences", "0"],
+    ],
+)
+def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypatch, capsys):
+    # Run where nothing exists: the parser must reject the option before any
+    # file is opened.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- transplant ---
 
 

@@ -1,5 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voskit.corpus import (
     CorpusError,
@@ -74,6 +78,57 @@ def test_pgm_rejects_truncated_payload(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 9)
     with pytest.raises(CorpusError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("dims", [b"0 3", b"4 0", b"0 99999999999999999999999"])
+def test_pgm_rejects_zero_dims(tmp_path, dims):
+    path = tmp_path / "z.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n")
+    with pytest.raises(CorpusError):
+        read_pgm(path)
+
+
+def _pgm_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.pgm"
+        write_pgm(path, np.arange(12, dtype=np.uint8).reshape(3, 4))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+PGM_BLOB = _pgm_blob()
+
+
+def _read_pgm_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fuzz.pgm"
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        return read_pgm(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(PGM_BLOB) - 1))
+def test_truncated_pgm_raises_corpus_error(cut):
+    with pytest.raises(CorpusError):
+        _read_pgm_bytes(PGM_BLOB[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(0, len(PGM_BLOB) - 1), st.integers(1, 255)), min_size=1, max_size=4
+    )
+)
+def test_byte_flipped_pgm_reads_or_raises_corpus_error(flips):
+    blob = bytearray(PGM_BLOB)
+    for pos, bits in flips:
+        blob[pos] ^= bits
+    try:
+        mask = _read_pgm_bytes(bytes(blob))
+    except CorpusError:
+        return
+    assert mask.dtype == np.uint8 and mask.ndim == 2 and mask.size > 0
 
 
 def test_pgm_converts_byte_range_values_and_rejects_others(tmp_path):

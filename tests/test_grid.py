@@ -162,6 +162,22 @@ def test_non_2d_rejected():
         windowed_mean(np.zeros(5), w)
 
 
+def test_stacks_match_slices_exactly():
+    w = gaussian_window()
+    stack = Rng(3).uniform(2 * 3 * 9 * 14).reshape(2, 3, 9, 14)
+    other = random_grid(4, (9, 14))
+    means = windowed_mean(stack, w)
+    adjoints = windowed_mean_adjoint(stack, w)
+    stats = windowed_statistics(stack, other, w)
+    for index in np.ndindex(2, 3):
+        assert means[index].tobytes() == windowed_mean(stack[index], w).tobytes()
+        assert adjoints[index].tobytes() == windowed_mean_adjoint(stack[index], w).tobytes()
+        for got, want in zip(stats, windowed_statistics(stack[index], other, w)):
+            assert np.broadcast_to(got, stack.shape)[index].tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        windowed_statistics(stack, random_grid(4, (9, 13)), w)
+
+
 @st.composite
 def grid_pairs(draw):
     h = draw(st.integers(1, 24))

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voskit import grid, gradcheck
-from voskit.gradcheck import central_diff, max_err
+from voskit.gradcheck import max_err
 from voskit.losses import (
     CLAMP_EPS,
     IOU_EPS,
@@ -15,8 +17,10 @@ from voskit.losses import (
     ssim_loss,
     total_loss,
 )
-from voskit.motion_mlp import mlp_backward, mlp_forward
+from voskit.motion_mlp import gelu, mlp_backward, mlp_forward
 from voskit.rng import Rng
+
+from fd_reference import central_diff
 
 
 def soft_pair(seed: int, size: int = 10):
@@ -99,6 +103,17 @@ def test_iou_value_matches_direct_formula():
         assert abs(iou_loss(pred, target).value - (1 - inter / union)) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1895, 3225])
+def test_iou_gradient_of_one_grid_squares_the_union_as_a_float(seed):
+    # At seeds 1895 and 3225, union**2 (pow) and union*union differ in the
+    # last bit; squaring the union after it broadcasts to an array can show.
+    pred, target = soft_pair(seed, size=6)
+    inter = float(np.sum(pred * target))
+    union = float(np.sum(pred + target - pred * target)) + IOU_EPS
+    expected = -(target * union - inter * (1.0 - target)) / union**2
+    assert iou_loss(pred, target).grad.tobytes() == expected.tobytes()
+
+
 # --- SSIM ---
 
 
@@ -174,6 +189,50 @@ def test_shape_mismatch_rejected():
         total_loss(np.zeros((3, 3)), np.zeros((3, 4)))
 
 
+def test_losses_reject_1d_predictions_and_stacked_targets():
+    target = np.zeros((4, 4))
+    for loss_fn in (ce_loss, iou_loss, ssim_loss, total_loss):
+        with pytest.raises(ValueError):
+            loss_fn(np.full(4, 0.5), np.zeros(4))
+        with pytest.raises(ValueError):
+            loss_fn(np.full((2, 4, 4), 0.5), np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError):
+            loss_fn(np.full((2, 4, 5), 0.5), target)
+
+
+# --- stacks of predictions ---
+
+STACKED_LOSSES = {
+    "ce_loss": ce_loss,
+    "iou_loss": iou_loss,
+    "ssim_loss": ssim_loss,
+    "total_loss": lambda p, t: total_loss(p, t, LossWeights(0.7, 1.3, 2.0)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACKED_LOSSES)),
+    height=st.integers(1, 20),
+    width=st.integers(1, 20),
+    lead=st.sampled_from([(1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_value_equals_each_slice_value_exactly(name, height, width, lead, seed):
+    loss_fn = STACKED_LOSSES[name]
+    rng = Rng(seed)
+    n = int(np.prod(lead)) * height * width
+    preds = rng.uniform_range(0.05, 0.95, n).reshape(*lead, height, width)
+    target = (rng.uniform(height * width).reshape(height, width) > 0.5).astype(np.float64)
+    out = loss_fn(preds, target)
+    assert out.value.shape == lead and out.grad.shape == preds.shape
+    for index in np.ndindex(*lead):
+        single = loss_fn(preds[index], target)
+        assert type(single.value) is float
+        assert out.value[index] == single.value
+        np.testing.assert_allclose(out.grad[index], single.grad, rtol=1e-13, atol=0)
+
+
 # --- gradients against finite differences ---
 
 
@@ -199,6 +258,50 @@ def test_total_gradient_fd_nontrivial_weights():
     analytic = total_loss(pred, target, weights).grad
     numeric = central_diff(lambda p: total_loss(p, target, weights).value, pred)
     assert max_err(analytic, numeric) < 1e-5
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACKED_LOSSES)),
+    size=st.integers(1, 12),
+    start=st.integers(0, 6),
+    stride=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_central_diff_equals_reference_on_losses(name, size, start, stride, seed):
+    # Up to 144 components: several FD_CHUNK chunks and a ragged last one.
+    loss_fn = STACKED_LOSSES[name]
+    pred, target = soft_pair(seed, size=size)
+    picks = slice(start, None, stride)
+    batched = gradcheck.central_diff(lambda p: loss_fn(p, target).value, pred, picks)
+    reference = central_diff(lambda p: loss_fn(p, target).value, pred.copy())
+    assert batched.tobytes() == reference.reshape(-1)[picks].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+def test_batched_central_diff_equals_reference_on_gelu(size, seed):
+    rng = Rng(seed)
+    x = rng.uniform_range(-3.0, 3.0, size)
+    c = rng.uniform_range(-1.0, 1.0, size)
+    batched = gradcheck.central_diff(lambda v: np.sum(gelu(v) * c, axis=-1), x)
+    reference = central_diff(lambda v: float(np.sum(gelu(v) * c)), x.copy())
+    assert batched.tobytes() == reference.tobytes()
+
+
+def test_central_diff_batches_picks_and_leaves_x_alone():
+    x = np.linspace(-1.0, 1.0, 70)
+    before = x.copy()
+    stacks = []
+
+    def f(stack):
+        stacks.append(stack.shape)
+        return np.sum(stack**2, axis=-1)
+
+    numeric = gradcheck.central_diff(f, x, slice(1, None, 2))
+    assert stacks == [(64, 70), (6, 70)]
+    np.testing.assert_allclose(numeric, 2.0 * x[1::2], rtol=0, atol=1e-8)
+    assert x.tobytes() == before.tobytes()
 
 
 def test_gradcheck_reports_a_nan_error_as_failure(monkeypatch):

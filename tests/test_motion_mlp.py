@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from voskit.boxes import BBox, Motion, apply_motion
-from voskit.gradcheck import central_diff, max_err
+from voskit.gradcheck import max_err
 from voskit.motion_mlp import (
     LAYER_SIZES,
     Adam,
@@ -16,6 +16,7 @@ from voskit.motion_mlp import (
     extract_triples,
     gelu,
     gelu_grad,
+    gelu_tanh,
     init_params,
     mlp_backward,
     mlp_forward,
@@ -24,6 +25,8 @@ from voskit.motion_mlp import (
     train_pt,
 )
 from voskit.rng import Rng
+
+from fd_reference import central_diff
 
 
 # --- activation ---
@@ -164,6 +167,31 @@ def test_backward_first_layer_fd_spot_check():
     numeric_b0 = central_diff(scalar, params[0]["bias"])
     assert max_err(analytic[0]["weight"], numeric_w0) < 1e-5
     assert max_err(analytic[0]["bias"], numeric_b0) < 1e-5
+
+
+def test_backward_with_cached_tanh_equals_recomputing_it():
+    """mlp_backward reuses the forward pass's GeLU tanh; the gradients are
+    those of the backward pass that recomputed it from the pre-activations."""
+    params = init_params(5)
+    params[-1]["weight"] = Rng(6).uniform_range(-0.5, 0.5, 256).reshape(64, 4)
+    x = Rng(7).uniform_range(-1, 1, 20).reshape(5, 4)
+    c = Rng(8).uniform_range(-1, 1, 20).reshape(5, 4)
+    _, cache = mlp_forward(params, x)
+    assert len(cache["tanhs"]) == len(params) - 1
+    for z, t in zip(cache["preacts"], cache["tanhs"]):
+        assert t.tobytes() == gelu_tanh(z).tobytes()
+        assert gelu(z, t).tobytes() == gelu(z).tobytes()
+    delta = c
+    expected = [None] * len(params)
+    for i in range(len(params) - 1, -1, -1):
+        if i != len(params) - 1:
+            delta = delta * gelu_grad(cache["preacts"][i])
+        a = cache["activations"][i]
+        expected[i] = {"weight": a.T @ delta, "bias": delta.sum(axis=0)}
+        delta = delta @ params[i]["weight"].T
+    for got, want in zip(mlp_backward(params, cache, c), expected):
+        for key in ("weight", "bias"):
+            assert got[key].tobytes() == want[key].tobytes()
 
 
 def test_backward_batch_is_sum_of_singles():
