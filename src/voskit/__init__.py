@@ -28,7 +28,7 @@ from .checkpoint import (
     transplant,
 )
 from .corpus import CorpusError, read_pgm, write_pgm
-from .grid import GaussianWindow, gaussian_window, windowed_mean, windowed_statistics
+from .grid import windowed_mean, windowed_statistics
 from .losses import (
     LossOut,
     LossWeights,
@@ -79,5 +79,4 @@ from .tracker import (
     compose_label,
     filter_stream,
     run_filter,
-    write_track_csv,
 )

@@ -37,7 +37,6 @@ from .tracker import (
     compose_label,
     filter_stream,
     track_csv_row,
-    write_track_csv,
 )
 
 EXIT_OK = 0
@@ -123,32 +122,30 @@ def cmd_filter(args) -> int:
         pred_out = os.path.join(seq_out, corpus.PRED_DIR)
         os.makedirs(pred_out, exist_ok=True)
 
-        if not id_list:
-            # Nothing to track; copy frames through and leave an empty log.
-            for i, frame in enumerate(corpus.iter_mask_dir(mask_dir), start=1):
-                corpus.write_pgm(os.path.join(pred_out, corpus.frame_name(i)), frame)
-            write_track_csv([], os.path.join(seq_out, corpus.TRACKS_NAME))
-            continue
-
-        frames = (
-            corpus.channels_from_labels(frame, id_list)
-            for frame in corpus.iter_mask_dir(mask_dir)
-        )
-        rows: list[TrackRow] = []
-        for out in filter_stream(frames, variant=args.variant, model=model, config=cfg):
-            corpus.write_pgm(
-                os.path.join(pred_out, corpus.frame_name(out.frame)), out.label
+        with open(os.path.join(seq_out, corpus.TRACKS_NAME), "w", newline="") as fh:
+            track_log = csv.writer(fh)
+            track_log.writerow(TRACK_CSV_HEADER)
+            if not id_list:
+                # Nothing to track; copy frames through and leave an empty log.
+                corpus.write_mask_dir(pred_out, corpus.iter_mask_dir(mask_dir))
+                continue
+            frames = (
+                corpus.channels_from_labels(frame, id_list)
+                for frame in corpus.iter_mask_dir(mask_dir)
             )
-            rows.extend(out.rows)
-            if args.dump_overlay:
-                for oid, gate in out.gates.items():
-                    gate_dir = os.path.join(seq_out, "overlays", f"{oid:03d}")
-                    os.makedirs(gate_dir, exist_ok=True)
-                    corpus.write_pgm(
-                        os.path.join(gate_dir, corpus.frame_name(out.frame)),
-                        gate * np.uint8(255),
-                    )
-        write_track_csv(rows, os.path.join(seq_out, corpus.TRACKS_NAME))
+            for out in filter_stream(frames, variant=args.variant, model=model, config=cfg):
+                corpus.write_pgm(
+                    os.path.join(pred_out, corpus.frame_name(out.frame)), out.label
+                )
+                track_log.writerows(track_csv_row(row) for row in out.rows)
+                if args.dump_overlay:
+                    for oid, gate in out.gates.items():
+                        gate_dir = os.path.join(seq_out, "overlays", f"{oid:03d}")
+                        os.makedirs(gate_dir, exist_ok=True)
+                        corpus.write_pgm(
+                            os.path.join(gate_dir, corpus.frame_name(out.frame)),
+                            gate * np.uint8(255),
+                        )
     print(f"filtered {len(sequences)} sequence(s) to {args.out_corpus}")
     return EXIT_OK
 
@@ -247,14 +244,15 @@ def cmd_transplant(args) -> int:
     return EXIT_OK
 
 
-def _at_least(kind, low):
-    """argparse type for a finite ``kind`` number >= low; argparse rejects
-    anything else with exit code 2."""
+def _at_least(kind, low, below=math.inf):
+    """argparse type for a finite ``kind`` number >= low and < below;
+    argparse rejects anything else with exit code 2."""
 
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and value >= low):
-            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
+        if not (math.isfinite(value) and low <= value < below):
+            bounds = f">= {low}" if below == math.inf else f">= {low} and < {below}"
+            raise argparse.ArgumentTypeError(f"must be a finite number {bounds}, got {text}")
         return value
 
     # argparse names the type in its "invalid int value" message.
@@ -287,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--margin", type=_at_least(float, 0.0), default=0.1, help="box expansion fraction"
     )
-    p.add_argument("--threshold", type=float, default=0.5, help="mask binarization threshold")
+    p.add_argument(
+        "--threshold", type=_at_least(float, 0.0, 1.0), default=0.5, help="mask binarization threshold"
+    )
     p.add_argument("--dump-overlay", action="store_true", help="write attention-map PGMs")
     p.set_defaults(func=cmd_filter)
 

@@ -106,13 +106,22 @@ def list_frame_files(mask_dir) -> list[str]:
 
 
 def read_mask_dir(mask_dir) -> list[np.ndarray]:
-    return [read_pgm(os.path.join(mask_dir, n)) for n in list_frame_files(mask_dir)]
+    return list(iter_mask_dir(mask_dir))
 
 
 def iter_mask_dir(mask_dir):
-    """Frames one at a time, for streaming consumers."""
+    """Frames one at a time, for streaming consumers. Raises CorpusError
+    when a frame's dims differ from the first frame's."""
+    shape = None
     for name in list_frame_files(mask_dir):
-        yield read_pgm(os.path.join(mask_dir, name))
+        frame = read_pgm(os.path.join(mask_dir, name))
+        if shape is None:
+            shape = frame.shape
+        elif frame.shape != shape:
+            raise CorpusError(
+                f"{os.path.join(mask_dir, name)}: frame dims {frame.shape} differ from {shape}"
+            )
+        yield frame
 
 
 def write_mask_dir(mask_dir, frames) -> int:

@@ -37,14 +37,14 @@ TOLERANCES = {
 FD_CHUNK = 32
 
 
-def central_diff(f, x: np.ndarray, picks=slice(None), eps: float = FD_EPS) -> np.ndarray:
+def central_diff(f, x: np.ndarray, picks=slice(None)) -> np.ndarray:
     """Central finite differences of a scalar function f at x, for the
     components ``x.reshape(-1)[picks]``; returns them as a 1-D array.
 
     f is called on stacks of perturbed copies of x, shape (2k, *x.shape),
     and returns one value per copy. The picked components go k <= FD_CHUNK
-    at a time: copy j holds +eps on the j-th component of the chunk and
-    copy k + j holds -eps on it. x itself is not modified.
+    at a time: copy j holds +FD_EPS on the j-th component of the chunk and
+    copy k + j holds -FD_EPS on it. x itself is not modified.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
@@ -55,23 +55,23 @@ def central_diff(f, x: np.ndarray, picks=slice(None), eps: float = FD_EPS) -> np
         k = chunk.size
         rows = np.arange(k)
         stack = np.tile(flat, (2 * k, 1))
-        stack[rows, chunk] += eps
-        stack[rows + k, chunk] -= eps
+        stack[rows, chunk] += FD_EPS
+        stack[rows + k, chunk] -= FD_EPS
         values = np.asarray(f(stack.reshape(2 * k, *x.shape)), dtype=np.float64)
-        grad[start : start + k] = (values[:k] - values[k:]) / (2.0 * eps)
+        grad[start : start + k] = (values[:k] - values[k:]) / (2.0 * FD_EPS)
     return grad
 
 
-def max_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
-    """Worst componentwise deviation: relative when either side exceeds the
-    floor, absolute otherwise."""
+def max_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst componentwise deviation: relative when either side exceeds
+    REL_FLOOR, absolute otherwise."""
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
     if a.shape != n.shape:
         raise ValueError(f"gradient shapes differ: {a.shape} vs {n.shape}")
     diff = np.abs(a - n)
     denom = np.maximum(np.abs(a), np.abs(n))
-    rel = np.where(denom > floor, diff / np.maximum(denom, floor), diff)
+    rel = np.where(denom > REL_FLOOR, diff / np.maximum(denom, REL_FLOOR), diff)
     return float(rel.max()) if rel.size else 0.0
 
 

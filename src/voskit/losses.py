@@ -5,7 +5,8 @@ target t, each reduced with a mean over pixels so unit weighting stays
 scale-free across resolutions:
 
 * cross-entropy        -mean(t*ln p + (1-t)*ln(1-p)), p clamped to [eps, 1-eps]
-* structural (1-SSIM)  window statistics compare local structure, not pixels
+* structural (1-SSIM)  statistics under the 11x11, sigma 1.5 Gaussian window
+                       compare local structure, not pixels
 * soft IoU             1 - sum(p*t) / (sum(p + t - p*t) + eps)
 
 ``total_loss`` combines them with nonnegative weights. Every loss returns
@@ -24,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    GaussianWindow,
-    as_grid,
-    check_same_shape,
-    gaussian_window,
-    windowed_mean_adjoint,
-    windowed_statistics,
-)
+from .grid import as_grid, check_same_shape, windowed_mean_adjoint, windowed_statistics
 
 CLAMP_EPS = 1e-7
 IOU_EPS = 1e-7
@@ -118,11 +112,7 @@ def iou_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     return LossOut(value=_value(value), grad=grad)
 
 
-def ssim_loss(
-    pred: np.ndarray,
-    target: np.ndarray,
-    window: GaussianWindow | None = None,
-) -> LossOut:
+def ssim_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     """Structural similarity loss, 1 - mean(SSIM map).
 
     Per pixel, with windowed means mu, variances s and covariance spt on the
@@ -135,10 +125,7 @@ def ssim_loss(
     on the prediction (mu_p, s_p, s_pt) via the exact window adjoint.
     """
     p, t = _check_pair(pred, target)
-    if window is None:
-        window = gaussian_window()
-
-    mu_p, mu_t, var_p, var_t, cov = windowed_statistics(p, t, window)
+    mu_p, mu_t, var_p, var_t, cov = windowed_statistics(p, t)
 
     a1 = 2.0 * mu_p * mu_t + SSIM_C1
     a2 = 2.0 * cov + SSIM_C2
@@ -153,11 +140,11 @@ def ssim_loss(
     d_cov = 2.0 * a1 / (b1 * b2)
 
     # Chain through mu_p = W p, var_p = W(p^2) - mu_p^2, cov = W(p t) - mu_p mu_t.
-    g = windowed_mean_adjoint(d_mu, window)
-    g += 2.0 * p * windowed_mean_adjoint(d_var, window)
-    g -= 2.0 * windowed_mean_adjoint(d_var * mu_p, window)
-    g += t * windowed_mean_adjoint(d_cov, window)
-    g -= windowed_mean_adjoint(d_cov * mu_t, window)
+    g = windowed_mean_adjoint(d_mu)
+    g += 2.0 * p * windowed_mean_adjoint(d_var)
+    g -= 2.0 * windowed_mean_adjoint(d_var * mu_p)
+    g += t * windowed_mean_adjoint(d_cov)
+    g -= windowed_mean_adjoint(d_cov * mu_t)
     return LossOut(value=_value(value), grad=-g / t.size)
 
 
@@ -165,7 +152,6 @@ def total_loss(
     pred: np.ndarray,
     target: np.ndarray,
     weights: LossWeights = LossWeights(),
-    window: GaussianWindow | None = None,
 ) -> LossOut:
     """Weighted sum of the three loss terms; terms with weight 0 are skipped
     so the projections onto a single term are bit-exact."""
@@ -177,7 +163,7 @@ def total_loss(
         value += weights.lambda_ce * out.value
         grad += weights.lambda_ce * out.grad
     if weights.lambda_ssim != 0.0:
-        out = ssim_loss(p, t, window)
+        out = ssim_loss(p, t)
         value += weights.lambda_ssim * out.value
         grad += weights.lambda_ssim * out.grad
     if weights.lambda_iou != 0.0:
@@ -193,7 +179,6 @@ def fit_toy_segmenter(
     weights: LossWeights = LossWeights(),
     steps: int = 500,
     lr: float = 0.5,
-    window: GaussianWindow | None = None,
 ) -> tuple[np.ndarray, list[float]]:
     """Train a per-pixel logistic model sigmoid(f . w + b) by gradient descent
     on the combined loss.
@@ -219,7 +204,7 @@ def fit_toy_segmenter(
     for _ in range(steps):
         z = f @ params[:d] + params[d]
         p = 1.0 / (1.0 + np.exp(-z))
-        out = total_loss(p, t, weights, window)
+        out = total_loss(p, t, weights)
         history.append(out.value)
         dz = out.grad * p * (1.0 - p)
         step = np.empty(d + 1)
@@ -228,5 +213,5 @@ def fit_toy_segmenter(
         params -= lr * step
     z = f @ params[:d] + params[d]
     p = 1.0 / (1.0 + np.exp(-z))
-    history.append(total_loss(p, t, weights, window).value)
+    history.append(total_loss(p, t, weights).value)
     return params, history

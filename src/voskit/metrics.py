@@ -141,11 +141,11 @@ class SequenceEval:
         return (self.mean_j + self.mean_f) / 2.0
 
 
-def evaluate_sequence(pred_seq, gt_seq, object_ids=None) -> SequenceEval:
+def evaluate_sequence(pred_seq, gt_seq) -> SequenceEval:
     """Per-object J and F over a pair of label-mask sequences (non-negative
     integer labels).
 
-    Objects default to the union of nonzero labels on both sides. Sequence
+    The objects are the union of nonzero labels on both sides. Sequence
     means are plain averages over objects of per-object frame averages.
     """
     pred_seq = [np.asarray(f) for f in pred_seq]
@@ -158,8 +158,7 @@ def evaluate_sequence(pred_seq, gt_seq, object_ids=None) -> SequenceEval:
         if p.shape != g.shape:
             raise ValueError(f"frame {i}: mask shapes differ: {p.shape} vs {g.shape}")
 
-    if object_ids is None:
-        object_ids = corpus.label_ids(gt_seq + pred_seq)
+    object_ids = corpus.label_ids(gt_seq + pred_seq)
 
     out = SequenceEval()
     per_object_j: dict[int, list[float]] = {}

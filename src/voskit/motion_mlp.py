@@ -32,6 +32,9 @@ from .rng import Rng
 LAYER_SIZES = (4, 64, 64, 64, 64, 4)
 GELU_COEFF = math.sqrt(2.0 / math.pi)
 SMOOTH_L1_DELTA = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -126,16 +129,14 @@ def mlp_backward(params, cache, grad_out: np.ndarray) -> list[dict[str, np.ndarr
 
 @dataclass
 class Adam:
-    """Decoupled-weight-decay Adam over a params list."""
+    """Decoupled-weight-decay Adam over a params list, with the moment
+    decays ADAM_BETA1 and ADAM_BETA2 and the denominator guard ADAM_EPS."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    step_count: int = field(default=0, init=False)
+    m: list = field(default_factory=list, init=False)
+    v: list = field(default_factory=list, init=False)
 
     def step(self, params, grads) -> None:
         if not self.m:
@@ -145,23 +146,24 @@ class Adam:
         t = self.step_count
         for layer, g, m, v in zip(params, grads, self.m, self.v):
             for key in layer:
-                m[key] = self.beta1 * m[key] + (1.0 - self.beta1) * g[key]
-                v[key] = self.beta2 * v[key] + (1.0 - self.beta2) * g[key] ** 2
-                m_hat = m[key] / (1.0 - self.beta1**t)
-                v_hat = v[key] / (1.0 - self.beta2**t)
-                update = m_hat / (np.sqrt(v_hat) + self.eps)
+                m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * g[key]
+                v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * g[key] ** 2
+                m_hat = m[key] / (1.0 - ADAM_BETA1**t)
+                v_hat = v[key] / (1.0 - ADAM_BETA2**t)
+                update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 if self.weight_decay:
                     update = update + self.weight_decay * layer[key]
                 layer[key] -= self.lr * update
 
 
-def smooth_l1(diff: np.ndarray, delta: float = SMOOTH_L1_DELTA):
-    """Elementwise Huber value and derivative in the difference."""
+def smooth_l1(diff: np.ndarray):
+    """Elementwise Huber value (threshold SMOOTH_L1_DELTA) and derivative in
+    the difference."""
     diff = np.asarray(diff, dtype=np.float64)
     a = np.abs(diff)
-    quad = a <= delta
-    value = np.where(quad, 0.5 * diff**2 / delta, a - 0.5 * delta)
-    grad = np.where(quad, diff / delta, np.sign(diff))
+    quad = a <= SMOOTH_L1_DELTA
+    value = np.where(quad, 0.5 * diff**2 / SMOOTH_L1_DELTA, a - 0.5 * SMOOTH_L1_DELTA)
+    grad = np.where(quad, diff / SMOOTH_L1_DELTA, np.sign(diff))
     return value, grad
 
 
@@ -304,7 +306,6 @@ def train_pt(
     lambda_small: float = 2.0,
     weight_decay: float = 0.0,
     seed: int = 0,
-    log=None,
 ) -> list[float]:
     """Train the predictor in place; returns the per-epoch mean loss.
 
@@ -332,8 +333,5 @@ def train_pt(
             losses[start : start + len(chunk)] = values
             grads = mlp_backward(predictor.params, cache, grad * predictor.scale / len(chunk))
             optimizer.step(predictor.params, grads)
-        mean = _mean_loss(losses)
-        history.append(mean)
-        if log is not None:
-            log(epoch, mean)
+        history.append(_mean_loss(losses))
     return history

@@ -278,12 +278,21 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+# Motion kind -> the keys its JSON may hold besides "kind".
+_MOTION_KEYS = {
+    "linear": {"v"},
+    "accelerating": {"v", "a"},
+    "sinusoidal": {"amplitude", "period"},
+}
+
+
 def _motion_from_json(data: dict) -> object:
     kind = data.get("kind", "linear")
-    known = {"kind", "v", "a", "amplitude", "period"}
-    extra = set(data) - known
+    if not isinstance(kind, str) or kind not in _MOTION_KEYS:
+        raise SceneError(f"unknown motion kind {kind!r}")
+    extra = set(data) - _MOTION_KEYS[kind] - {"kind"}
     if extra:
-        raise SceneError(f"motion: unknown keys {sorted(extra)}")
+        raise SceneError(f"motion ({kind}): unknown keys {sorted(extra)}")
     if kind == "linear":
         vx, vy = data.get("v", [0.0, 0.0])
         return LinearMotion(vx=float(vx), vy=float(vy))
@@ -291,10 +300,9 @@ def _motion_from_json(data: dict) -> object:
         vx, vy = data.get("v", [0.0, 0.0])
         ax, ay = data.get("a", [0.0, 0.0])
         return AcceleratingMotion(vx=float(vx), vy=float(vy), ax=float(ax), ay=float(ay))
-    if kind == "sinusoidal":
-        ax, ay = data.get("amplitude", [0.0, 0.0])
-        return SinusoidalMotion(amp_x=float(ax), amp_y=float(ay), period=float(data.get("period", 12.0)))
-    raise SceneError(f"unknown motion kind {kind!r}")
+    # sinusoidal
+    ax, ay = data.get("amplitude", [0.0, 0.0])
+    return SinusoidalMotion(amp_x=float(ax), amp_y=float(ay), period=float(data.get("period", 12.0)))
 
 
 def _motion_to_json(motion) -> dict:

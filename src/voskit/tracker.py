@@ -22,7 +22,6 @@ state; memory is O(frame size + objects), independent of sequence length.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -195,10 +194,3 @@ def track_csv_row(row: TrackRow) -> list:
     coords = ["", "", "", ""] if row.box is None else [repr(v) for v in row.box.as_tuple()]
     return [row.frame, row.object_id, *coords, row.source]
 
-
-def write_track_csv(rows: Iterable[TrackRow], path) -> None:
-    """Write the track log, header first."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACK_CSV_HEADER)
-        writer.writerows(track_csv_row(row) for row in rows)

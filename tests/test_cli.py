@@ -290,6 +290,18 @@ def test_eval_mismatch_in_a_later_sequence_exits_2_without_report(tmp_path, caps
     assert last in captured.err
 
 
+@pytest.mark.parametrize("command", ["eval", "filter"])
+def test_frame_dims_drifting_within_a_sequence_exit_2(command, built_corpus, tmp_path, capsys):
+    seq = corpus.list_sequences(built_corpus)[0]
+    third = built_corpus / seq / "masks_pred" / corpus.frame_name(3)
+    corpus.write_pgm(third, np.zeros((61, 90), dtype=np.uint8))
+    second = built_corpus if command == "eval" else tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, built_corpus, second]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "00003.pgm" in err and "internal" not in err
+
+
 def test_eval_missing_gt_exits_2(built_corpus, tmp_path):
     assert run(["eval", built_corpus, tmp_path / "ghost"]) == EXIT_INPUT
 
@@ -388,6 +400,10 @@ def test_gradcheck_stdout_matches_golden(capsys):
         ["filter", "in", "out", "--margin", "-1"],
         ["filter", "in", "out", "--margin", "nan"],
         ["synth", "scene.json", "out", "--sequences", "0"],
+        ["filter", "in", "out", "--threshold", "nan"],
+        ["filter", "in", "out", "--threshold", "1.5"],
+        ["filter", "in", "out", "--threshold", "-0.1"],
+        ["filter", "in", "out", "--threshold", "1"],
     ],
 )
 def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypatch, capsys):

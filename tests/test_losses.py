@@ -1,4 +1,5 @@
 import math
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -360,10 +361,25 @@ def test_check_mlp_equals_per_component_reference(seed):
 def test_ssim_loss_applies_the_window_five_times(monkeypatch):
     calls = []
     forward = grid.windowed_mean
-    monkeypatch.setattr(grid, "windowed_mean", lambda g, w: calls.append(1) or forward(g, w))
+    monkeypatch.setattr(grid, "windowed_mean", lambda g: calls.append(1) or forward(g))
     pred, target = soft_pair(3, size=8)
     ssim_loss(pred, target)
     assert len(calls) == 5
+
+
+def test_ssim_and_total_loss_match_golden_bits():
+    # Values and gradient digests pinned before the window became a constant.
+    pred, target = soft_pair(5, size=24)
+    ssim = ssim_loss(pred, target)
+    total = total_loss(pred, target, LossWeights(0.7, 1.3, 0.4))
+    assert repr(ssim.value) == "1.0127663572534387"
+    assert repr(total.value) == "2.2172339400394345"
+    assert sha256(ssim.grad.tobytes()).hexdigest() == (
+        "bb33dd21e0e2ce31edf53b854949fbd78f4cda41ca2c4c399e46d576e10ff83c"
+    )
+    assert sha256(total.grad.tobytes()).hexdigest() == (
+        "a54549d68ba445bf673aa0f30c801bb8f794b523a4137a97185ffa2f13275aba"
+    )
 
 
 # --- toy separable fit ---
@@ -386,6 +402,22 @@ def test_toy_segmenter_reduces_total_loss_10x():
     assert len(history) == 501
     assert history[-1] < history[0] / 10.0
     assert params.shape == (3,)
+
+
+def test_toy_segmenter_matches_golden_bits():
+    features, target = toy_instance()
+    params, history = fit_toy_segmenter(features, target, steps=50)
+    assert (len(history), repr(history[0]), repr(history[-1])) == (
+        51,
+        "2.1057855511153454",
+        "0.03674280334966832",
+    )
+    assert sha256(np.array(history).tobytes()).hexdigest() == (
+        "923040aa3d98713caf4175200cf3df1dd3c832c7d645a3e0a1877f246ffeb76f"
+    )
+    assert sha256(params.tobytes()).hexdigest() == (
+        "6ac858217aaf68962aa4c0236ae0be295dae8bc43382ff1778745d8aabc253e6"
+    )
 
 
 def test_toy_segmenter_history_is_monotone_enough():

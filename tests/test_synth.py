@@ -492,6 +492,12 @@ def test_scene_json_rejects_unknown_keys():
     with pytest.raises(SceneError):
         scene_from_json(bad_motion)
 
+    # keys of another motion kind
+    foreign_keys = scene_json()
+    foreign_keys["objects"][0]["motion"] = {"kind": "linear", "v": [1, 1], "a": [5, 5], "period": 3}
+    with pytest.raises(SceneError):
+        scene_from_json(foreign_keys)
+
     bad_corr = scene_json()
     bad_corr["corruption"]["strength"] = 2
     with pytest.raises(SceneError):

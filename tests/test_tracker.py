@@ -8,11 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from voskit.boxes import BBox
 from voskit.tracker import (
+    TRACK_CSV_HEADER,
     FilterConfig,
+    TrackRow,
     compose_label,
     filter_stream,
     run_filter,
-    write_track_csv,
+    track_csv_row,
 )
 
 
@@ -296,6 +298,14 @@ def test_filter_labels_with_the_box_threshold():
     assert (ys >= row.box.y).all() and (ys < row.box.y + row.box.h).all()
 
 
+def write_track_csv(rows, path):
+    """The track log as the CLI writes it: header, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACK_CSV_HEADER)
+        writer.writerows(track_csv_row(row) for row in rows)
+
+
 def test_write_track_csv(tmp_path):
     rows = [
         r
@@ -316,8 +326,6 @@ def test_write_track_csv(tmp_path):
 
 
 def test_write_track_csv_absent_box(tmp_path):
-    from voskit.tracker import TrackRow
-
     path = tmp_path / "tracks.csv"
     write_track_csv([TrackRow(frame=3, object_id=2, box=None, source="warmup")], path)
     text = path.read_text()
