@@ -65,20 +65,13 @@ def apply_motion(box: BBox, motion: Motion) -> BBox:
     )
 
 
-def bbox_from_mask(
-    mask: np.ndarray,
-    object_id: int | None = None,
-    threshold: float = 0.5,
-) -> BBox | None:
-    """Tightest box covering an object's pixels, or None when it has none.
-
-    With object_id the mask is read as an integer label map; without it the
-    mask is binarized at ``value > threshold``.
-    """
+def bbox_from_mask(mask: np.ndarray, threshold: float = 0.5) -> BBox | None:
+    """Tightest box covering the pixels with ``value > threshold`` (a
+    boolean mask counts as 0/1), or None when there are none."""
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    sel = (m == object_id) if object_id is not None else (m > threshold)
+    sel = m > threshold
     rows = np.flatnonzero(sel.any(axis=1))
     if rows.size == 0:
         return None

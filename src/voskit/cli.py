@@ -133,7 +133,7 @@ def cmd_filter(args) -> int:
                 corpus.channels_from_labels(frame, id_list)
                 for frame in corpus.iter_mask_dir(mask_dir)
             )
-            for out in filter_stream(frames, variant=args.variant, model=model, config=cfg):
+            for out in filter_stream(frames, model=model, config=cfg):
                 corpus.write_pgm(
                     os.path.join(pred_out, corpus.frame_name(out.frame)), out.label
                 )
@@ -151,25 +151,14 @@ def cmd_filter(args) -> int:
 
 
 def _eval_pairs(pred_root, gt_root):
-    """(name, (pred, gt)) frame lists one sequence at a time, in sorted
-    name order; each sequence is read only when the previous one is done."""
+    """(name, (pred frames, gt frames)) per sequence in sorted name order;
+    both sides are frame generators, so nothing is read until scored."""
     for seq in corpus.list_sequences(gt_root):
         gt_dir = corpus.sequence_mask_dir(gt_root, seq, "gt")
         pred_dir = corpus.sequence_mask_dir(pred_root, seq, "pred", required=False)
         if pred_dir is None:
             pred_dir = corpus.sequence_mask_dir(pred_root, seq, "gt")
-        gt = corpus.read_mask_dir(gt_dir)
-        pred = corpus.read_mask_dir(pred_dir)
-        if len(pred) != len(gt):
-            raise corpus.CorpusError(
-                f"{seq}: prediction has {len(pred)} frames, ground truth {len(gt)}"
-            )
-        if pred[0].shape != gt[0].shape:
-            raise corpus.CorpusError(
-                f"{seq}: mask dims {pred[0].shape} vs {gt[0].shape}"
-            )
-        yield seq, (pred, gt)
-        del pred, gt
+        yield seq, (corpus.iter_mask_dir(pred_dir), corpus.iter_mask_dir(gt_dir))
 
 
 def cmd_eval(args) -> int:
@@ -187,18 +176,20 @@ def cmd_train_pt(args) -> int:
     for root in args.corpus:
         for seq in corpus.list_sequences(root):
             gt_dir = corpus.sequence_mask_dir(root, seq, "gt")
-            frames = corpus.read_mask_dir(gt_dir)
-            if dims is None:
-                dims = frames[0].shape
-            elif frames[0].shape != dims:
-                raise corpus.CorpusError(
-                    f"{seq}: frame dims {frames[0].shape} differ from {dims}; "
-                    "motion normalization needs one frame size per run"
-                )
-            tracks = {
-                oid: [bbox_from_mask(f, object_id=oid) for f in frames]
-                for oid in corpus.label_ids(frames)
-            }
+            # Box track per id; an id first seen at frame t starts with t Nones.
+            tracks: dict[int, list] = {}
+            for t, frame in enumerate(corpus.iter_mask_dir(gt_dir)):
+                if dims is None:
+                    dims = frame.shape
+                elif frame.shape != dims:
+                    raise corpus.CorpusError(
+                        f"{seq}: frame dims {frame.shape} differ from {dims}; "
+                        "motion normalization needs one frame size per run"
+                    )
+                for oid in corpus.label_ids((frame,)):
+                    tracks.setdefault(oid, [None] * t)
+                for oid, track in tracks.items():
+                    track.append(bbox_from_mask(frame == oid))
             triples.extend(extract_triples(tracks))
     if not triples:
         raise corpus.CorpusError("no training examples (need runs of 3 boxes)")

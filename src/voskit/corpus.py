@@ -19,8 +19,9 @@ TRACKS_NAME = "tracks.csv"
 SCENE_NAME = "scene.json"
 
 
-class CorpusError(Exception):
-    """Malformed mask file or corpus layout."""
+class CorpusError(ValueError):
+    """Malformed mask file or corpus layout, or prediction and ground truth
+    that do not line up frame for frame."""
 
 
 def write_pgm(path, mask: np.ndarray) -> None:
@@ -103,10 +104,6 @@ def list_frame_files(mask_dir) -> list[str]:
                 f"{mask_dir}: expected frame file {frame_name(i)}, found {name}"
             )
     return names
-
-
-def read_mask_dir(mask_dir) -> list[np.ndarray]:
-    return list(iter_mask_dir(mask_dir))
 
 
 def iter_mask_dir(mask_dir):

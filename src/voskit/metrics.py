@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -127,12 +128,10 @@ class FrameScore:
 
 @dataclass
 class SequenceEval:
-    """Scores for one sequence: per-frame rows plus per-object and sequence
-    means. Frames where an object is absent on both sides carry no row."""
+    """Scores for one sequence: per-frame rows plus sequence means. Frames
+    where an object is absent on both sides carry no row."""
 
     rows: list[FrameScore] = field(default_factory=list)
-    object_mean_j: dict[int, float] = field(default_factory=dict)
-    object_mean_f: dict[int, float] = field(default_factory=dict)
     mean_j: float = 0.0
     mean_f: float = 0.0
 
@@ -141,53 +140,48 @@ class SequenceEval:
         return (self.mean_j + self.mean_f) / 2.0
 
 
+def _mean_of_object_means(per_object: dict[int, list[float]]) -> float:
+    """Plain average, in id order, of each object's frame average; 1 when
+    there are no objects."""
+    if not per_object:
+        return 1.0
+    return float(np.mean([float(np.mean(per_object[k])) for k in sorted(per_object)]))
+
+
 def evaluate_sequence(pred_seq, gt_seq) -> SequenceEval:
     """Per-object J and F over a pair of label-mask sequences (non-negative
-    integer labels).
+    integer labels), given as any two iterables of frames.
 
-    The objects are the union of nonzero labels on both sides. Sequence
-    means are plain averages over objects of per-object frame averages.
+    Frame pairs are scored as they arrive and not kept, so generators stream
+    the sequence one frame pair at a time. The objects of a frame are the
+    nonzero labels on either side. Sequence means are plain averages over
+    objects of per-object frame averages. Raises CorpusError when the
+    sequences differ in length or a frame pair in dims.
     """
-    pred_seq = [np.asarray(f) for f in pred_seq]
-    gt_seq = [np.asarray(f) for f in gt_seq]
-    if len(pred_seq) != len(gt_seq):
-        raise ValueError(f"sequence lengths differ: {len(pred_seq)} vs {len(gt_seq)}")
-    if not gt_seq:
-        raise ValueError("empty sequence")
-    for i, (p, g) in enumerate(zip(pred_seq, gt_seq), start=1):
-        if p.shape != g.shape:
-            raise ValueError(f"frame {i}: mask shapes differ: {p.shape} vs {g.shape}")
-
-    object_ids = corpus.label_ids(gt_seq + pred_seq)
-
     out = SequenceEval()
     per_object_j: dict[int, list[float]] = {}
     per_object_f: dict[int, list[float]] = {}
-    for index, (p, g) in enumerate(zip(pred_seq, gt_seq), start=1):
-        for object_id in object_ids:
+    index = 0
+    for index, (p, g) in enumerate(zip_longest(pred_seq, gt_seq), start=1):
+        if p is None or g is None:
+            sides = ("prediction", "ground truth")
+            short, other = sides if p is None else sides[::-1]
+            raise corpus.CorpusError(f"{short} has {index - 1} frames, {other} more")
+        p, g = np.asarray(p), np.asarray(g)
+        if p.shape != g.shape:
+            raise corpus.CorpusError(f"frame {index}: mask dims {p.shape} vs {g.shape}")
+        for object_id in corpus.label_ids((p, g)):
             pm = p == object_id
             gm = g == object_id
-            if not pm.any() and not gm.any():
-                continue
             j = jaccard(pm, gm)
             f = contour_f(pm, gm)
             out.rows.append(FrameScore(frame=index, object_id=object_id, j=j, f=f))
             per_object_j.setdefault(object_id, []).append(j)
             per_object_f.setdefault(object_id, []).append(f)
-
-    for object_id in object_ids:
-        js = per_object_j.get(object_id)
-        fs = per_object_f.get(object_id)
-        # An id absent on both sides in every frame has no scored frames;
-        # count it as perfectly absent.
-        out.object_mean_j[object_id] = float(np.mean(js)) if js else 1.0
-        out.object_mean_f[object_id] = float(np.mean(fs)) if fs else 1.0
-    if object_ids:
-        out.mean_j = float(np.mean([out.object_mean_j[k] for k in object_ids]))
-        out.mean_f = float(np.mean([out.object_mean_f[k] for k in object_ids]))
-    else:
-        out.mean_j = 1.0
-        out.mean_f = 1.0
+    if index == 0:
+        raise ValueError("empty sequence")
+    out.mean_j = _mean_of_object_means(per_object_j)
+    out.mean_f = _mean_of_object_means(per_object_f)
     return out
 
 
@@ -208,16 +202,18 @@ class EvalReport:
 def evaluate_corpus(pairs) -> EvalReport:
     """Evaluate named (pred_seq, gt_seq) pairs, given as a mapping or as an
     iterable of ``(name, (pred_seq, gt_seq))`` items. Items are scored as
-    they arrive and not kept, so a generator streams the corpus one
-    sequence at a time. Corpus means average the sequence means in
-    sorted-name order."""
+    they arrive and not kept, so generators stream the corpus one frame
+    pair at a time. A CorpusError names its sequence. Corpus means average
+    the sequence means in sorted-name order."""
     items = sorted(pairs.items()) if isinstance(pairs, Mapping) else pairs
     report = EvalReport()
     for name, (pred_seq, gt_seq) in items:
         if name in report.sequences:
             raise ValueError(f"duplicate sequence name {name!r}")
-        report.sequences[name] = evaluate_sequence(pred_seq, gt_seq)
-        del pred_seq, gt_seq
+        try:
+            report.sequences[name] = evaluate_sequence(pred_seq, gt_seq)
+        except corpus.CorpusError as exc:
+            raise corpus.CorpusError(f"{name}: {exc}") from exc
     if not report.sequences:
         raise ValueError("no sequences to evaluate")
     evals = [report.sequences[name] for name in sorted(report.sequences)]

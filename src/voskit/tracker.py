@@ -95,19 +95,16 @@ def compose_label(
 
 def filter_stream(
     frames: Iterable[dict[int, np.ndarray]],
-    variant: str = "cv",
     model=None,
     config: FilterConfig | None = None,
 ) -> Iterator[FilteredFrame]:
     """Filter a sequence of per-object soft-mask frames, streaming.
 
-    variant is "cv" (repeat the last motion) or "pt" (map the last motion
-    through ``model.predict_motion``). Frame indices are 1-based.
+    Without a model the tracker repeats the last motion ("cv"); with one it
+    maps the last motion through ``model.predict_motion`` ("pt"). Frame
+    indices are 1-based.
     """
-    if variant not in (SOURCE_CV, SOURCE_PT):
-        raise ValueError(f"unknown variant {variant!r} (expected 'cv' or 'pt')")
-    if variant == SOURCE_PT and model is None:
-        raise ValueError("variant 'pt' requires a motion model")
+    variant = SOURCE_CV if model is None else SOURCE_PT
     cfg = config or FilterConfig()
 
     # (last box, box before it) per object of the previous frame
@@ -139,7 +136,7 @@ def filter_stream(
                 source = SOURCE_WARMUP
             else:
                 motion = box_delta(prev, prev2)
-                if variant == SOURCE_PT:
+                if model is not None:
                     motion = model.predict_motion(motion)
                 predicted = apply_motion(prev, motion)
                 gate = attention_map(predicted, shape[0], shape[1], cfg.margin_frac)
@@ -178,12 +175,11 @@ def filter_stream(
 
 def run_filter(
     frames: Iterable[dict[int, np.ndarray]],
-    variant: str = "cv",
     model=None,
     config: FilterConfig | None = None,
 ) -> tuple[list[FilteredFrame], list[TrackRow]]:
     """Materialized version of :func:`filter_stream`."""
-    out = list(filter_stream(frames, variant=variant, model=model, config=config))
+    out = list(filter_stream(frames, model=model, config=config))
     rows = [row for f in out for row in f.rows]
     return out, rows
 

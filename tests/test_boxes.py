@@ -48,9 +48,9 @@ def test_bbox_from_mask_label_mode():
     label = np.zeros((6, 6), dtype=np.uint8)
     label[1:3, 1:4] = 2
     label[4:6, 0:2] = 7
-    assert bbox_from_mask(label, object_id=2) == BBox(1, 1, 3, 2)
-    assert bbox_from_mask(label, object_id=7) == BBox(0, 4, 2, 2)
-    assert bbox_from_mask(label, object_id=3) is None
+    assert bbox_from_mask(label == 2) == BBox(1, 1, 3, 2)
+    assert bbox_from_mask(label == 7) == BBox(0, 4, 2, 2)
+    assert bbox_from_mask(label == 3) is None
 
 
 def test_bbox_from_mask_single_pixel():

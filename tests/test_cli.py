@@ -78,8 +78,8 @@ def test_synth_sequences_differ_from_each_other(tmp_path):
     out = tmp_path / "c"
     assert run(["synth", scene, out, "--sequences", "2"]) == EXIT_OK
     seqs = corpus.list_sequences(out)
-    a = corpus.read_mask_dir(out / seqs[0] / "masks_pred")
-    b = corpus.read_mask_dir(out / seqs[1] / "masks_pred")
+    a = list(corpus.iter_mask_dir(out / seqs[0] / "masks_pred"))
+    b = list(corpus.iter_mask_dir(out / seqs[1] / "masks_pred"))
     assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -179,8 +179,8 @@ def test_filter_on_clean_linear_corpus_is_idempotent(built_corpus, tmp_path):
     assert run(["filter", built_corpus, once]) == EXIT_OK
     assert run(["filter", once, twice]) == EXIT_OK
     for seq in corpus.list_sequences(once):
-        a = corpus.read_mask_dir(once / seq / "masks_pred")
-        b = corpus.read_mask_dir(twice / seq / "masks_pred")
+        a = list(corpus.iter_mask_dir(once / seq / "masks_pred"))
+        b = list(corpus.iter_mask_dir(twice / seq / "masks_pred"))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -251,7 +251,7 @@ def test_filter_nonexistent_corpus_exits_2(tmp_path):
 def test_eval_self_scores_one(built_corpus, tmp_path, capsys):
     gt_only = tmp_path / "gt_only"
     for seq in corpus.list_sequences(built_corpus):
-        frames = corpus.read_mask_dir(built_corpus / seq / "masks_gt")
+        frames = list(corpus.iter_mask_dir(built_corpus / seq / "masks_gt"))
         corpus.write_mask_dir(gt_only / seq / "masks_gt", frames)
     assert run(["eval", gt_only, built_corpus]) == EXIT_OK
     out = capsys.readouterr().out
@@ -269,7 +269,7 @@ def test_eval_report_csv(built_corpus, tmp_path):
 def test_eval_frame_count_mismatch_exits_2(built_corpus, tmp_path, capsys):
     clipped = tmp_path / "clipped"
     for seq in corpus.list_sequences(built_corpus):
-        frames = corpus.read_mask_dir(built_corpus / seq / "masks_gt")
+        frames = list(corpus.iter_mask_dir(built_corpus / seq / "masks_gt"))
         corpus.write_mask_dir(clipped / seq / "masks_pred", frames[:-1])
         corpus.write_mask_dir(clipped / seq / "masks_gt", frames[:-1])
     assert run(["eval", clipped, built_corpus]) == EXIT_INPUT
@@ -302,8 +302,78 @@ def test_frame_dims_drifting_within_a_sequence_exit_2(command, built_corpus, tmp
     assert "00003.pgm" in err and "internal" not in err
 
 
+def test_eval_prediction_dims_differing_from_ground_truth_exit_2(tmp_path, capsys):
+    root = tmp_path / "c"
+    corpus.write_mask_dir(root / "s1" / "masks_gt", [np.zeros((10, 13), dtype=np.uint8)] * 3)
+    corpus.write_mask_dir(root / "s1" / "masks_pred", [np.zeros((10, 12), dtype=np.uint8)] * 3)
+    capsys.readouterr()
+    assert run(["eval", root, root]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s1: " in captured.err and "(10, 12) vs (10, 13)" in captured.err
+    assert "internal" not in captured.err
+
+
 def test_eval_missing_gt_exits_2(built_corpus, tmp_path):
     assert run(["eval", built_corpus, tmp_path / "ghost"]) == EXIT_INPUT
+
+
+def stdout_and_file_digest(argv, path, capsys):
+    capsys.readouterr()
+    assert run(argv) == EXIT_OK
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def late_and_vanishing_ids_corpus(root):
+    """Two 20x30 gt sequences of moving boxes: in "a" (8 frames) id 1 is
+    gone on frame 5 and id 2 first appears on frame 3; "b" (6 frames) holds
+    id 3 only, from frame 2 on."""
+    for seq, n, present in (
+        ("a", 8, {1: lambda t: t != 5, 2: lambda t: t >= 3}),
+        ("b", 6, {3: lambda t: t >= 2}),
+    ):
+        frames = []
+        for t in range(1, n + 1):
+            m = np.zeros((20, 30), dtype=np.uint8)
+            for oid, here in present.items():
+                if here(t):
+                    m[2 + oid * 4 : 5 + oid * 4, t + oid : t + oid + 4 + t % 3] = oid
+            frames.append(m)
+        corpus.write_mask_dir(root / seq / "masks_gt", frames)
+
+
+# sha256 of stdout followed by the written file, taken before eval and
+# train-pt streamed frames: `eval src src --report report.csv` and
+# `train-pt src --out w.tvck --epochs 4 --seed 3` on `synth --sequences 2` of
+# SCENE, and `train-pt late --out w2.tvck --epochs 6 --seed 1` on
+# late_and_vanishing_ids_corpus.
+EVAL_REPORT_DIGEST = "1f29a3fbefad92bad7a2402e4e6b76e0d66bc594762d7d4fd068bda70fdafbee"
+TRAIN_PT_DIGEST = "92d22a4c6e1b36ae6f35251408c4e92f18973dd3fd0f7d2e61ed5b664888d97a"
+TRAIN_PT_LATE_IDS_DIGEST = "443283d9cf1f97fb059a6bed674ffba60ae8a3e376a248f87ce64fad0adbb423"
+
+
+def test_eval_and_train_pt_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["synth", write_scene(tmp_path), "src", "--sequences", "2"]) == EXIT_OK
+    late_and_vanishing_ids_corpus(tmp_path / "late")
+    digests = (
+        stdout_and_file_digest(
+            ["eval", "src", "src", "--report", "report.csv"], tmp_path / "report.csv", capsys
+        ),
+        stdout_and_file_digest(
+            ["train-pt", "src", "--out", "w.tvck", "--epochs", "4", "--seed", "3"],
+            tmp_path / "w.tvck",
+            capsys,
+        ),
+        stdout_and_file_digest(
+            ["train-pt", "late", "--out", "w2.tvck", "--epochs", "6", "--seed", "1"],
+            tmp_path / "w2.tvck",
+            capsys,
+        ),
+    )
+    assert digests == (EVAL_REPORT_DIGEST, TRAIN_PT_DIGEST, TRAIN_PT_LATE_IDS_DIGEST)
 
 
 # --- train-pt ---

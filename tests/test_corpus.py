@@ -9,10 +9,10 @@ from voskit.corpus import (
     CorpusError,
     channels_from_labels,
     frame_name,
+    iter_mask_dir,
     label_ids,
     list_frame_files,
     list_sequences,
-    read_mask_dir,
     read_pgm,
     sequence_mask_dir,
     write_mask_dir,
@@ -156,7 +156,7 @@ def test_mask_dir_round_trip(tmp_path):
     assert write_mask_dir(tmp_path / "d", seq) == 4
     names = list_frame_files(tmp_path / "d")
     assert names == ["00001.pgm", "00002.pgm", "00003.pgm", "00004.pgm"]
-    got = read_mask_dir(tmp_path / "d")
+    got = list(iter_mask_dir(tmp_path / "d"))
     assert len(got) == 4
     for a, b in zip(got, seq):
         np.testing.assert_array_equal(a, b)

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from eval_reference import evaluate_sequence as reference_evaluate_sequence
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from voskit.corpus import CorpusError
 from voskit.metrics import (
     boundary_pixels,
     contour_f,
@@ -334,10 +338,15 @@ def test_evaluate_monotone_gating_never_hurts_j():
 
 def test_evaluate_validates_inputs():
     pred, gt = drifting_sequence()
-    with pytest.raises(ValueError):
-        evaluate_sequence(pred[:-1], gt)
-    with pytest.raises(ValueError):
-        evaluate_sequence([p[:30] for p in pred], gt)
+    with pytest.raises(CorpusError, match="prediction has 5 frames, ground truth more"):
+        evaluate_sequence(iter(pred[:-1]), iter(gt))
+    with pytest.raises(CorpusError, match="ground truth has 5 frames, prediction more"):
+        evaluate_sequence(iter(pred), iter(gt[:-1]))
+    shrunk = pred[:3] + [pred[3][:30]] + pred[4:]
+    with pytest.raises(CorpusError, match=r"frame 4: mask dims \(30, 40\) vs \(40, 40\)"):
+        evaluate_sequence(shrunk, gt)
+    with pytest.raises(CorpusError, match="^b: frame 4"):
+        evaluate_corpus([("a", (gt, gt)), ("b", (shrunk, gt))])
     with pytest.raises(ValueError):
         evaluate_sequence([], [])
 
@@ -386,3 +395,60 @@ def test_scores_always_in_unit_interval():
         for row in ev.rows:
             assert 0.0 <= row.j <= 1.0
             assert 0.0 <= row.f <= 1.0
+
+
+# --- streaming evaluation against the whole-sequence reference ---
+
+
+@st.composite
+def label_sequence_pairs(draw):
+    """A prediction and a ground-truth sequence of small label frames over
+    ids {1, 2, 7}: ids appear late, vanish, show on one side only, or not
+    at all."""
+    n = draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    labels = st.sampled_from([0, 0, 1, 2, 7])
+    return tuple(
+        [draw(hnp.arrays(np.uint8, shape, elements=labels)) for _ in range(n)]
+        for _side in range(2)
+    )
+
+
+def _frames(*labels, shape=(6, 6)):
+    """One frame per label: that id on a 3x3 square, 0 for an empty frame."""
+    return [square(shape, 1, 1, 3, value) for value in labels]
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_sequence_pairs())
+@example((_frames(0, 0, 0), _frames(0, 0, 0)))  # no ids
+@example((_frames(0, 0, 2), _frames(0, 1, 2)))  # ids appear late
+@example((_frames(1, 0, 0), _frames(1, 1, 0)))  # an id vanishes
+@example((_frames(3, 3, 0), _frames(0, 0, 0)))  # an id on one side only
+def test_streaming_evaluate_sequence_equals_whole_sequence_reference(pair):
+    pred, gt = pair
+    ev = evaluate_sequence(iter(pred), (frame for frame in gt))
+    ref = reference_evaluate_sequence(pred, gt)
+    assert ev.rows == ref.rows
+    assert (ev.mean_j, ev.mean_f) == (ref.mean_j, ref.mean_f)
+
+
+def test_evaluate_sequence_streams_in_constant_memory():
+    # One square drifting right on 240x427 frames, the prediction a pixel
+    # behind; frames are made on demand, so only the scorer can hold them.
+    shape = (240, 427)
+
+    def frames(n, lag):
+        return (square(shape, 20 + t % 300 - lag, 60, 80) for t in range(n))
+
+    def streamed_peak(n):
+        tracemalloc.start()
+        ev = evaluate_sequence(frames(n, lag=1), frames(n, lag=0))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(ev.rows) == n
+        return peak
+
+    peak_small = streamed_peak(100)
+    peak_large = streamed_peak(1000)
+    assert peak_large / peak_small < 1.5, (peak_small, peak_large)

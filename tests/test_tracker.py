@@ -186,14 +186,6 @@ def test_determinism():
         assert np.array_equal(a.label, b.label)
 
 
-def test_pt_variant_requires_model():
-    frames, _, _ = moving_scene()
-    with pytest.raises(ValueError):
-        run_filter(frames, variant="pt")
-    with pytest.raises(ValueError):
-        run_filter(frames, variant="nope")
-
-
 def test_pt_variant_with_untrained_model_is_stationary_gate():
     # zero-initialized output layer -> predicted motion is exactly zero, so
     # the gate sits on the previous box; for a stationary object that is
@@ -202,7 +194,7 @@ def test_pt_variant_with_untrained_model_is_stationary_gate():
 
     model = MotionPredictor.for_frame(40, 60)
     frames, boxes, blob = moving_scene(v=(0, 0))
-    out, rows = run_filter(frames, variant="pt", model=model)
+    out, rows = run_filter(frames, model=model)
     assert [r.source for r in rows] == ["warmup", "warmup"] + ["pt"] * (len(frames) - 2)
     bx, by, bw, bh = blob
     for i in range(2, len(frames)):
@@ -307,13 +299,7 @@ def write_track_csv(rows, path):
 
 
 def test_write_track_csv(tmp_path):
-    rows = [
-        r
-        for _, r in [
-            (None, t)
-            for t in run_filter(moving_scene(n_frames=4)[0])[1]
-        ]
-    ]
+    rows = run_filter(moving_scene(n_frames=4)[0])[1]
     path = tmp_path / "tracks.csv"
     write_track_csv(rows, path)
     with open(path, newline="") as fh:
