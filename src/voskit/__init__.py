@@ -73,7 +73,6 @@ from .synth import (
     scene_to_json,
 )
 from .tracker import (
-    FilterConfig,
     FilteredFrame,
     TrackRow,
     compose_label,

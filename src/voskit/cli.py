@@ -27,12 +27,11 @@ import sys
 import numpy as np
 
 from . import __version__, checkpoint, corpus, metrics, synth
-from .boxes import bbox_from_mask
+from .boxes import attention_map, bbox_from_mask
 from .gradcheck import run_all
 from .motion_mlp import MotionPredictor, dataset_loss, extract_triples, train_pt
 from .tracker import (
     TRACK_CSV_HEADER,
-    FilterConfig,
     TrackRow,
     compose_label,
     filter_stream,
@@ -109,11 +108,6 @@ def _load_predictor(path) -> MotionPredictor:
 
 def cmd_filter(args) -> int:
     model = _load_predictor(args.weights) if args.variant == "pt" else None
-    cfg = FilterConfig(
-        margin_frac=args.margin,
-        threshold=args.threshold,
-        keep_gates=args.dump_overlay,
-    )
     sequences = corpus.list_sequences(args.in_corpus)
     for seq in sequences:
         mask_dir = corpus.sequence_mask_dir(args.in_corpus, seq, "pred")
@@ -133,18 +127,20 @@ def cmd_filter(args) -> int:
                 corpus.channels_from_labels(frame, id_list)
                 for frame in corpus.iter_mask_dir(mask_dir)
             )
-            for out in filter_stream(frames, model=model, config=cfg):
+            for out in filter_stream(frames, model, args.margin, args.threshold):
                 corpus.write_pgm(
                     os.path.join(pred_out, corpus.frame_name(out.frame)), out.label
                 )
                 track_log.writerows(track_csv_row(row) for row in out.rows)
                 if args.dump_overlay:
-                    for oid, gate in out.gates.items():
-                        gate_dir = os.path.join(seq_out, "overlays", f"{oid:03d}")
+                    for row in out.rows:
+                        gate_dir = os.path.join(seq_out, "overlays", f"{row.object_id:03d}")
                         os.makedirs(gate_dir, exist_ok=True)
+                        overlay = np.full(out.label.shape, 255, dtype=np.uint8)
+                        if row.gate is not None:
+                            overlay *= attention_map(row.gate, *out.label.shape, args.margin)
                         corpus.write_pgm(
-                            os.path.join(gate_dir, corpus.frame_name(out.frame)),
-                            gate * np.uint8(255),
+                            os.path.join(gate_dir, corpus.frame_name(out.frame)), overlay
                         )
     print(f"filtered {len(sequences)} sequence(s) to {args.out_corpus}")
     return EXIT_OK
@@ -176,9 +172,9 @@ def cmd_train_pt(args) -> int:
     for root in args.corpus:
         for seq in corpus.list_sequences(root):
             gt_dir = corpus.sequence_mask_dir(root, seq, "gt")
-            # Box track per id; an id first seen at frame t starts with t Nones.
+            # Box track per id from its first frame on; None where it is absent.
             tracks: dict[int, list] = {}
-            for t, frame in enumerate(corpus.iter_mask_dir(gt_dir)):
+            for frame in corpus.iter_mask_dir(gt_dir):
                 if dims is None:
                     dims = frame.shape
                 elif frame.shape != dims:
@@ -187,7 +183,7 @@ def cmd_train_pt(args) -> int:
                         "motion normalization needs one frame size per run"
                     )
                 for oid in corpus.label_ids((frame,)):
-                    tracks.setdefault(oid, [None] * t)
+                    tracks.setdefault(oid, [])
                 for oid, track in tracks.items():
                     track.append(bbox_from_mask(frame == oid))
             triples.extend(extract_triples(tracks))
@@ -331,6 +327,8 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         FileNotFoundError,
         NotADirectoryError,
+        IsADirectoryError,
+        FileExistsError,
     ) as exc:
         _fail(str(exc))
         return EXIT_INPUT

@@ -140,9 +140,9 @@ def check_mlp(seed: int, size: int = 0) -> float:
     whole layers, so strided coverage still catches it at a seventh of
     the cost).
 
-    Perturbing layer i leaves the layers below it unchanged, so each stack
-    of perturbed weights or biases starts from layer i's cached input and
-    only layers i.. run again, once per stack."""
+    Each stack of perturbed weights or biases replaces layer i's parameter
+    in one ``mlp_forward`` call: the layers below i run once, unstacked,
+    and layers i.. run on the whole stack."""
     params = _randomized_params(seed)
     rng = Rng(seed + 77)
     x = rng.uniform_range(-1.0, 1.0, MLP_BATCH * 4).reshape(MLP_BATCH, 4)
@@ -151,21 +151,20 @@ def check_mlp(seed: int, size: int = 0) -> float:
     _, cache = mlp_forward(params, x)
     analytic = mlp_backward(params, cache, c)
 
-    def scalar_from(i: int, z: np.ndarray) -> np.ndarray:
-        """sum(output * c) for each of a stack of layer-i pre-activations."""
-        for layer in params[i + 1 :]:
-            z = np.matmul(gelu(z), layer["weight"]) + layer["bias"]
-        return np.sum(z * c, axis=(-2, -1))
+    def score(i: int, name: str, stack: np.ndarray) -> np.ndarray:
+        """sum(output * c) with layer i's ``name`` replaced by each entry of
+        a stack."""
+        replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
+        return np.sum(mlp_forward(replaced, x)[0] * c, axis=(-2, -1))
 
     last = len(params) - 1
     strided = slice(seed % HIDDEN_WEIGHT_STRIDE, None, HIDDEN_WEIGHT_STRIDE)
     errors = []
     for i, layer in enumerate(params):
-        a, weight, bias = cache["activations"][i], layer["weight"], layer["bias"]
         picks = strided if i not in (0, last) else slice(None)
-        numeric = central_diff(lambda w: scalar_from(i, np.matmul(a, w) + bias), weight, picks)
+        numeric = central_diff(lambda w: score(i, "weight", w), layer["weight"], picks)
         errors.append(max_err(analytic[i]["weight"].reshape(-1)[picks], numeric))
-        numeric = central_diff(lambda b: scalar_from(i, (a @ weight) + b[:, None, :]), bias)
+        numeric = central_diff(lambda b: score(i, "bias", b[:, None, :]), layer["bias"])
         errors.append(max_err(analytic[i]["bias"], numeric))
     # np.max, not max(): a NaN error must fail the check, not vanish.
     return float(np.max(errors))

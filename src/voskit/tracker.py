@@ -40,33 +40,25 @@ TRACK_CSV_HEADER = ["frame", "object_id", "x", "y", "w", "h", "source"]
 @dataclass(frozen=True)
 class TrackRow:
     """One (frame, object) entry of the track log. box is None when the
-    object had no pixels above threshold that frame."""
+    object had no pixels above threshold that frame; gate is the predicted
+    box the mask was gated with, None on warm-up and fallback rows."""
 
     frame: int
     object_id: int
     box: BBox | None
     source: str
+    gate: BBox | None = None
 
 
 @dataclass
 class FilteredFrame:
     """Per-frame output: gated soft channels, the composed label mask, and
-    the track rows produced for this frame. gates holds the effective
-    attention map per object (all ones on warm-up/fallback frames) when
-    FilterConfig.keep_gates is set."""
+    the track rows produced for this frame."""
 
     frame: int
     channels: dict[int, np.ndarray]
     label: np.ndarray
     rows: list[TrackRow] = field(default_factory=list)
-    gates: dict[int, np.ndarray] | None = None
-
-
-@dataclass
-class FilterConfig:
-    margin_frac: float = 0.1
-    threshold: float = 0.5
-    keep_gates: bool = False
 
 
 def compose_label(
@@ -96,23 +88,23 @@ def compose_label(
 def filter_stream(
     frames: Iterable[dict[int, np.ndarray]],
     model=None,
-    config: FilterConfig | None = None,
+    margin_frac: float = 0.1,
+    threshold: float = 0.5,
 ) -> Iterator[FilteredFrame]:
     """Filter a sequence of per-object soft-mask frames, streaming.
 
     Without a model the tracker repeats the last motion ("cv"); with one it
     maps the last motion through ``model.predict_motion`` ("pt"). Frame
-    indices are 1-based.
+    indices are 1-based. margin_frac widens each predicted box into its
+    gate; threshold binarizes masks into boxes and composes the label.
     """
     variant = SOURCE_CV if model is None else SOURCE_PT
-    cfg = config or FilterConfig()
 
     # (last box, box before it) per object of the previous frame
     states: dict[int, tuple[BBox | None, BBox | None]] = {}
     shape: tuple[int, int] | None = None
     for index, frame in enumerate(frames, start=1):
         out_channels: dict[int, np.ndarray] = {}
-        gates: dict[int, np.ndarray] = {}
         rows: list[TrackRow] = []
         next_states: dict[int, tuple[BBox | None, BBox | None]] = {}
         for object_id in sorted(frame):
@@ -128,38 +120,35 @@ def filter_stream(
                 raise ValueError(f"frame {index} object {object_id}: non-finite soft mask")
             prev, prev2 = states.get(object_id, (None, None))
 
-            warm = index <= 2 or prev is None or prev2 is None
-            gate = None
-            if warm:
+            predicted = None
+            if prev is None or prev2 is None:
                 filtered = channel
-                box = bbox_from_mask(channel, threshold=cfg.threshold)
+                box = bbox_from_mask(channel, threshold=threshold)
                 source = SOURCE_WARMUP
             else:
                 motion = box_delta(prev, prev2)
                 if model is not None:
                     motion = model.predict_motion(motion)
                 predicted = apply_motion(prev, motion)
-                gate = attention_map(predicted, shape[0], shape[1], cfg.margin_frac)
+                gate = attention_map(predicted, shape[0], shape[1], margin_frac)
                 filtered = filter_mask(gate, channel)
-                box = bbox_from_mask(filtered, threshold=cfg.threshold)
+                box = bbox_from_mask(filtered, threshold=threshold)
                 source = variant
                 if box is None:
                     # Lost inside the gate: pass the frame through ungated,
                     # re-acquire the box from it, and forget the old motion.
                     filtered = channel
-                    box = bbox_from_mask(channel, threshold=cfg.threshold)
+                    box = bbox_from_mask(channel, threshold=threshold)
                     source = SOURCE_FALLBACK
-                    gate = None
+                    predicted = None
 
             forget = box is None or source == SOURCE_FALLBACK
             next_states[object_id] = (box, None if forget else prev)
 
             out_channels[object_id] = filtered
-            if cfg.keep_gates:
-                gates[object_id] = (
-                    gate if gate is not None else np.ones(shape, dtype=np.uint8)
-                )
-            rows.append(TrackRow(frame=index, object_id=object_id, box=box, source=source))
+            rows.append(
+                TrackRow(frame=index, object_id=object_id, box=box, source=source, gate=predicted)
+            )
         states = next_states
 
         if shape is None:
@@ -167,19 +156,19 @@ def filter_stream(
         yield FilteredFrame(
             frame=index,
             channels=out_channels,
-            label=compose_label(out_channels, shape, cfg.threshold),
+            label=compose_label(out_channels, shape, threshold),
             rows=rows,
-            gates=gates if cfg.keep_gates else None,
         )
 
 
 def run_filter(
     frames: Iterable[dict[int, np.ndarray]],
     model=None,
-    config: FilterConfig | None = None,
+    margin_frac: float = 0.1,
+    threshold: float = 0.5,
 ) -> tuple[list[FilteredFrame], list[TrackRow]]:
     """Materialized version of :func:`filter_stream`."""
-    out = list(filter_stream(frames, model=model, config=config))
+    out = list(filter_stream(frames, model, margin_frac, threshold))
     rows = [row for f in out for row in f.rows]
     return out, rows
 

@@ -207,6 +207,27 @@ def test_filter_overlay_dump(built_corpus, tmp_path):
     assert set(np.unique(gate)) <= {0, 255}
 
 
+# sha256 tree digests of `filter src cv --dump-overlay` and `filter src pt
+# --variant pt --weights w.tvck --dump-overlay --margin 0.3` on `synth
+# --sequences 2` of SCENE, with w.tvck from `train-pt src --out w.tvck
+# --epochs 4 --seed 3`, taken while the tracker kept a gate map per object
+# for the overlays.
+FILTER_OVERLAY_DIGESTS = (
+    "e665bc4c57e939f40016de6ed6571b40133bd4d8485fe8993dc8d98707d97bcc",
+    "e1a79251453a53dd8e1769cdc9e981022ed5a6b4d5be7c6165599b07f71a9336",
+)
+
+
+def test_filter_overlay_dumps_match_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["synth", write_scene(tmp_path), "src", "--sequences", "2"]) == EXIT_OK
+    assert run(["train-pt", "src", "--out", "w.tvck", "--epochs", "4", "--seed", "3"]) == EXIT_OK
+    assert run(["filter", "src", "cv", "--dump-overlay"]) == EXIT_OK
+    pt_argv = ["--variant", "pt", "--weights", "w.tvck", "--dump-overlay", "--margin", "0.3"]
+    assert run(["filter", "src", "pt", *pt_argv]) == EXIT_OK
+    assert (tree_digest(tmp_path / "cv"), tree_digest(tmp_path / "pt")) == FILTER_OVERLAY_DIGESTS
+
+
 def test_filter_pt_without_weights_exits_3(built_corpus, tmp_path, capsys):
     code = run(["filter", built_corpus, tmp_path / "f", "--variant", "pt"])
     assert code == EXIT_MISSING
@@ -485,6 +506,32 @@ def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypa
     assert exc.value.code == EXIT_INPUT
     assert f"argument {argv[-2]}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "adir", "out"],
+        ["synth", "scene.json", "afile"],
+        ["eval", "src", "src", "--report", "adir"],
+        ["train-pt", "src", "--out", "adir", "--epochs", "0"],
+        ["transplant", "--target", "adir", "--source", "w.tvck", "--prefix", "pt.", "--out", "o.tvck"],
+    ],
+)
+def test_path_of_the_wrong_kind_exits_2(argv, built_corpus, tmp_path, monkeypatch, capsys):
+    # A directory where a file is read or written, or a file where the
+    # output directory goes, is malformed input, not an internal error.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("not a directory\n")
+    checkpoint.save(
+        checkpoint.ParamStore.from_items(MotionPredictor.for_frame(60, 90, seed=1).param_items()),
+        tmp_path / "w.tvck",
+    )
+    capsys.readouterr()
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal" not in err
 
 
 # --- transplant ---

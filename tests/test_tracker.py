@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voskit.boxes import BBox
+from voskit.boxes import BBox, attention_map
 from voskit.tracker import (
     TRACK_CSV_HEADER,
-    FilterConfig,
     TrackRow,
     compose_label,
     filter_stream,
@@ -73,7 +72,7 @@ def test_filter_is_non_expansive():
 
 def test_huge_margin_is_identity():
     frames, _, _ = moving_scene()
-    out, _ = run_filter(frames, config=FilterConfig(margin_frac=100.0))
+    out, _ = run_filter(frames, margin_frac=100.0)
     for i, frame in enumerate(frames):
         assert np.array_equal(out[i].channels[1], frame[1])
 
@@ -97,6 +96,36 @@ def test_fallback_when_gate_empties_mask():
     # by frame 5 there are two clean boxes and tracking resumes
     assert rows[4].source == "cv"
     assert rows[4].box == BBox(40, 20, 4, 4)
+
+
+def test_rows_carry_the_gate_box():
+    # Object 1 teleports on frame 3 (fallback) and warms up again; object 2
+    # is gated from frame 3 on and sheds a distractor blob. Its faint halo,
+    # below threshold, reaches 2 pixels out: the 0.4 margin keeps all of it.
+    shape = (30, 50)
+    blob = rect_channel(shape, 2, 24, 4, 3, value=0.9)
+    object_2 = [
+        np.maximum(
+            rect_channel(shape, 28 + t, 8 + t, 9, 9, value=0.3),
+            rect_channel(shape, 30 + t, 10 + t, 5, 5),
+        )
+        for t in range(5)
+    ]
+    object_2[2] = object_2[2] + blob
+    object_1 = [rect_channel(shape, 2, 2, 4, 4), rect_channel(shape, 5, 2, 4, 4)]
+    object_1 += [rect_channel(shape, 40, 20, 4, 4)] * 3
+    frames = [{1: a, 2: b} for a, b in zip(object_1, object_2)]
+    margin = 0.4
+    out, rows = run_filter(frames, margin_frac=margin)
+    assert {row.source for row in rows} == {"warmup", "cv", "fallback"}
+    assert rows[5].gate == BBox(32, 12, 5, 5)  # object 2, frame 3
+    for filtered, frame in zip(out, frames):
+        for row in filtered.rows:
+            assert (row.gate is None) == (row.source in ("warmup", "fallback"))
+            if row.gate is not None:
+                gate = attention_map(row.gate, *shape, margin)
+                expected = frame[row.object_id] * gate
+                assert np.array_equal(filtered.channels[row.object_id], expected)
 
 
 def test_object_absent_resets_track():
@@ -281,7 +310,7 @@ def test_filter_labels_with_the_box_threshold():
     # A soft mask at 0.4: above the 0.3 threshold, so it is both boxed and
     # labelled, and every labelled pixel lies inside its box.
     channel = rect_channel((20, 30), 5, 4, 7, 6, value=0.4)
-    [frame] = filter_stream([{3: channel}], config=FilterConfig(threshold=0.3))
+    [frame] = filter_stream([{3: channel}], threshold=0.3)
     [row] = frame.rows
     assert row.box == BBox(5, 4, 7, 6)
     assert np.array_equal(frame.label, np.where(channel > 0.3, 3, 0))
