@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -52,6 +53,19 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _check_output_file(path) -> None:
+    """Raise now the error that opening ``path`` for writing would raise
+    after all the work: it is a directory, or its parent directory is not."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def _dump_json(data: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -63,7 +77,7 @@ def cmd_synth(args) -> int:
         data = json.load(fh)
     try:
         base = synth.scene_from_json(data)
-    except (TypeError, ValueError) as exc:
+    except synth.SceneError as exc:
         raise synth.SceneError(f"{args.scene}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.sequences):
@@ -158,6 +172,8 @@ def _eval_pairs(pred_root, gt_root):
 
 
 def cmd_eval(args) -> int:
+    if args.report:
+        _check_output_file(args.report)
     report = metrics.evaluate_corpus(_eval_pairs(args.pred_corpus, args.gt_corpus))
     if args.report:
         metrics.write_report_csv(report, args.report)
@@ -167,6 +183,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train_pt(args) -> int:
+    _check_output_file(args.out)
     triples = []
     dims: tuple[int, int] | None = None
     for root in args.corpus:

@@ -15,7 +15,6 @@ points, so it costs time in proportion to the boundary, not the frame.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -200,14 +199,13 @@ class EvalReport:
 
 
 def evaluate_corpus(pairs) -> EvalReport:
-    """Evaluate named (pred_seq, gt_seq) pairs, given as a mapping or as an
-    iterable of ``(name, (pred_seq, gt_seq))`` items. Items are scored as
-    they arrive and not kept, so generators stream the corpus one frame
-    pair at a time. A CorpusError names its sequence. Corpus means average
-    the sequence means in sorted-name order."""
-    items = sorted(pairs.items()) if isinstance(pairs, Mapping) else pairs
+    """Evaluate an iterable of ``(name, (pred_seq, gt_seq))`` items, such as
+    a dict's ``.items()``. Items are scored as they arrive and not kept, so
+    generators stream the corpus one frame pair at a time. A CorpusError
+    names its sequence. Corpus means average the sequence means in
+    sorted-name order."""
     report = EvalReport()
-    for name, (pred_seq, gt_seq) in items:
+    for name, (pred_seq, gt_seq) in pairs:
         if name in report.sequences:
             raise ValueError(f"duplicate sequence name {name!r}")
         try:

@@ -278,6 +278,12 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _section(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneError(f"{context}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 # Motion kind -> the keys its JSON may hold besides "kind".
 _MOTION_KEYS = {
     "linear": {"v"},
@@ -320,8 +326,19 @@ def _motion_to_json(motion) -> dict:
 
 
 def scene_from_json(data: dict) -> SceneConfig:
-    """Build a config from parsed JSON; unknown keys are configuration
-    errors so typos fail loudly."""
+    """Build a config from parsed JSON. Malformed input raises SceneError:
+    unknown keys (so typos fail loudly), a section that is not a JSON
+    object, and a value that does not convert (a number JSON reads as
+    infinity, say)."""
+    try:
+        return _scene_from_json(_section(data, "scene"))
+    except SceneError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SceneError(str(exc)) from exc
+
+
+def _scene_from_json(data: dict) -> SceneConfig:
     known = {"height", "width", "frames", "seed", "objects", "corruption"}
     extra = set(data) - known
     if extra:
@@ -329,6 +346,7 @@ def scene_from_json(data: dict) -> SceneConfig:
     objects = []
     raw_objects = _require(data, "objects", "scene")
     for i, raw in enumerate(raw_objects):
+        raw = _section(raw, f"object {i}")
         known_obj = {"id", "shape", "box", "motion"}
         extra = set(raw) - known_obj
         if extra:
@@ -339,10 +357,10 @@ def scene_from_json(data: dict) -> SceneConfig:
                 object_id=int(raw.get("id", i + 1)),
                 box=BBox(x=float(x), y=float(y), w=float(w), h=float(h)),
                 shape=raw.get("shape", "rectangle"),
-                motion=_motion_from_json(raw.get("motion", {})),
+                motion=_motion_from_json(_section(raw.get("motion", {}), f"object {i} motion")),
             )
         )
-    raw_corruption = data.get("corruption", {})
+    raw_corruption = _section(data.get("corruption", {}), "corruption")
     known_cor = {"blobs", "blob_size", "min_distance", "flip_prob"}
     extra = set(raw_corruption) - known_cor
     if extra:

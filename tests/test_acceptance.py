@@ -298,7 +298,7 @@ def test_criterion_5_metrics_match_brute_force_recount():
             pred_seq.append(pred)
         pairs[f"seq{s}"] = (pred_seq, gt_seq)
 
-    rep = evaluate_corpus(pairs)
+    rep = evaluate_corpus(pairs.items())
 
     # independent recount: raw per-pixel loops, no shared helpers
     seq_means = []

@@ -90,10 +90,21 @@ def test_synth_bad_json_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
-def test_synth_unknown_scene_key_exits_2(tmp_path):
+def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
     scene = dict(SCENE)
     scene["wibble"] = 3
     assert run(["synth", write_scene(tmp_path, scene), tmp_path / "out"]) == EXIT_INPUT
+    # A section that is not a JSON object, and a height JSON reads as inf.
+    linear = dict(SCENE["objects"][0], motion="linear")
+    for text in (
+        json.dumps(dict(SCENE, objects=[linear])),
+        json.dumps(dict(SCENE, corruption=[])),
+        json.dumps(SCENE).replace('"height": 60', '"height": 1e400'),
+    ):
+        (tmp_path / "scene.json").write_text(text)
+        capsys.readouterr()
+        assert run(["synth", tmp_path / "scene.json", tmp_path / "out"]) == EXIT_INPUT
+        assert "internal" not in capsys.readouterr().err
 
 
 def test_synth_missing_scene_file_exits_2(tmp_path):
@@ -516,12 +527,21 @@ def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypa
         ["eval", "src", "src", "--report", "adir"],
         ["train-pt", "src", "--out", "adir", "--epochs", "0"],
         ["transplant", "--target", "adir", "--source", "w.tvck", "--prefix", "pt.", "--out", "o.tvck"],
+        ["eval", "src", "src", "--report", "nodir/report.csv"],
+        ["train-pt", "src", "--out", "nodir/w.tvck", "--epochs", "0"],
     ],
 )
 def test_path_of_the_wrong_kind_exits_2(argv, built_corpus, tmp_path, monkeypatch, capsys):
-    # A directory where a file is read or written, or a file where the
-    # output directory goes, is malformed input, not an internal error.
+    # A directory where a file is read or written, a file where the output
+    # directory goes, or a missing parent directory is malformed input, not
+    # an internal error. An output path is checked before any corpus is
+    # read, so a corpus scan that would fail must not be reached.
     monkeypatch.chdir(tmp_path)
+
+    def no_corpus_scan(root):
+        raise RuntimeError("the corpus was read before the output path was checked")
+
+    monkeypatch.setattr(corpus, "list_sequences", no_corpus_scan)
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("not a directory\n")
     checkpoint.save(
@@ -588,6 +608,21 @@ def test_cli_import_skips_scipy_signal():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_package_root_imports_no_submodule():
+    # The root holds only __version__: importing it must not load a voskit
+    # module or numpy.
+    src = os.path.dirname(os.path.dirname(voskit.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import voskit; "
+        "print(voskit.__version__, sorted(m for m in sys.modules "
+        "if m.startswith('voskit.') or m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == f"{voskit.__version__} []"
 
 
 def test_eval_runs_with_scipy_blocked(built_corpus, tmp_path, capsys):

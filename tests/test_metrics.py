@@ -353,7 +353,7 @@ def test_evaluate_validates_inputs():
 
 def test_corpus_report_means_and_jf(tmp_path):
     pred, gt = drifting_sequence()
-    report = evaluate_corpus({"b": (pred, gt), "a": (gt, gt)})
+    report = evaluate_corpus({"b": (pred, gt), "a": (gt, gt)}.items())
     ev_a = evaluate_sequence(gt, gt)
     ev_b = evaluate_sequence(pred, gt)
     assert abs(report.mean_j - (ev_a.mean_j + ev_b.mean_j) / 2) < 1e-12
@@ -373,7 +373,7 @@ def test_corpus_report_means_and_jf(tmp_path):
 
 def test_corpus_streams_items_like_a_mapping():
     pred, gt = drifting_sequence()
-    from_dict = evaluate_corpus({"b": (pred, gt), "a": (gt, gt)})
+    from_dict = evaluate_corpus({"b": (pred, gt), "a": (gt, gt)}.items())
     streamed = evaluate_corpus(iter([("a", (gt, gt)), ("b", (pred, gt))]))
     assert streamed.mean_j == from_dict.mean_j and streamed.mean_f == from_dict.mean_f
     assert list(streamed.sequences) == ["a", "b"]
@@ -383,7 +383,7 @@ def test_corpus_streams_items_like_a_mapping():
 
 def test_corpus_requires_sequences():
     with pytest.raises(ValueError):
-        evaluate_corpus({})
+        evaluate_corpus([])
 
 
 def test_scores_always_in_unit_interval():

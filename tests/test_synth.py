@@ -519,3 +519,19 @@ def test_scene_json_rejects_missing_required():
     data["objects"][0]["motion"] = {"kind": "warp"}
     with pytest.raises(SceneError):
         scene_from_json(data)
+
+    # a section that is not a JSON object, and a number JSON reads as inf
+    data = scene_json()
+    data["objects"][0]["motion"] = "linear"
+    with pytest.raises(SceneError, match="object 0 motion: expected a JSON object"):
+        scene_from_json(data)
+
+    data = scene_json()
+    data["corruption"] = []
+    with pytest.raises(SceneError, match="corruption: expected a JSON object"):
+        scene_from_json(data)
+
+    data = scene_json()
+    data["height"] = float("inf")
+    with pytest.raises(SceneError, match="infinity"):
+        scene_from_json(data)
