@@ -163,11 +163,11 @@ def sequence_mask_dir(root, sequence: str, kind: str, required: bool = True):
 
 def label_ids(frames) -> list[int]:
     """Sorted nonzero object ids appearing anywhere in a sequence of
-    non-negative integer label frames; frames may be any iterable."""
+    non-negative integer label arrays; frames may be any iterable. Only
+    foreground pixels are counted."""
     ids: set[int] = set()
     for frame in frames:
-        ids.update(np.flatnonzero(np.bincount(np.ravel(frame), minlength=256)).tolist())
-    ids.discard(0)
+        ids.update(np.flatnonzero(np.bincount(frame[frame != 0], minlength=256)).tolist())
     return sorted(ids)
 
 

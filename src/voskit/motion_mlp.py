@@ -41,7 +41,7 @@ def gelu_tanh(x: np.ndarray) -> np.ndarray:
     """tanh(sqrt(2/pi) (x + 0.044715 x^3)), the factor GeLU and its
     derivative share."""
     x = np.asarray(x, dtype=np.float64)
-    return np.tanh(GELU_COEFF * (x + 0.044715 * x**3))
+    return np.tanh(GELU_COEFF * (x + 0.044715 * (x * x * x)))
 
 
 def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:

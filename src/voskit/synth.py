@@ -19,7 +19,7 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,10 +35,20 @@ class SceneError(ValueError):
     """Scene configuration that cannot be rendered as specified."""
 
 
+def _require_finite(motion) -> None:
+    for f in fields(motion):
+        value = getattr(motion, f.name)
+        if not math.isfinite(value):
+            raise SceneError(f"{type(motion).__name__}.{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinearMotion:
     vx: float = 0.0
     vy: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
     def offset(self, t: int) -> tuple[float, float]:
         return (self.vx * (t - 1), self.vy * (t - 1))
@@ -54,6 +64,9 @@ class AcceleratingMotion:
     ax: float = 0.0
     ay: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self)
+
     def offset(self, t: int) -> tuple[float, float]:
         n = t - 1
         half = n * (n - 1) / 2.0
@@ -67,6 +80,7 @@ class SinusoidalMotion:
     period: float = 12.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.period <= 0:
             raise SceneError(f"sinusoidal period must be > 0, got {self.period}")
 
@@ -131,14 +145,14 @@ class SceneConfig:
 
 def analytic_box(obj: ObjectSpec, t: int) -> BBox:
     """Configured box advanced to frame t (1-based); offsets are rounded to
-    whole pixels so rendered masks sit exactly on the analytic box."""
+    whole pixels so rendered masks sit exactly on the analytic box. A box
+    whose position overflows to a non-finite value raises SceneError."""
     dx, dy = obj.motion.offset(t)
-    return BBox(
-        x=obj.box.x + float(np.rint(dx)),
-        y=obj.box.y + float(np.rint(dy)),
-        w=obj.box.w,
-        h=obj.box.h,
-    )
+    x = obj.box.x + float(np.rint(dx))
+    y = obj.box.y + float(np.rint(dy))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SceneError(f"object {obj.object_id} moves to non-finite ({x}, {y}) at frame {t}")
+    return BBox(x=x, y=y, w=obj.box.w, h=obj.box.h)
 
 
 def _pixel_bounds(box: BBox, height: int, width: int):

@@ -94,12 +94,18 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
     scene = dict(SCENE)
     scene["wibble"] = 3
     assert run(["synth", write_scene(tmp_path, scene), tmp_path / "out"]) == EXIT_INPUT
-    # A section that is not a JSON object, and a height JSON reads as inf.
+    # A section that is not a JSON object, a height JSON reads as inf, a
+    # motion JSON reads as inf or that names a NaN, and a box covering the
+    # frame at x = -1e308 whose x overflows to -inf at frame 2.
     linear = dict(SCENE["objects"][0], motion="linear")
+    wide = {"id": 1, "box": [-1e308, 20, 1.5e308, 6], "motion": {"v": [-1e308, 0]}}
     for text in (
         json.dumps(dict(SCENE, objects=[linear])),
         json.dumps(dict(SCENE, corruption=[])),
         json.dumps(SCENE).replace('"height": 60', '"height": 1e400'),
+        json.dumps(SCENE).replace('"v": [3, 1]', '"v": [1e400, 1]'),
+        json.dumps(SCENE).replace('"v": [3, 1]', '"v": ["nan", 1]'),
+        json.dumps(dict(SCENE, objects=[wide])),
     ):
         (tmp_path / "scene.json").write_text(text)
         capsys.readouterr()
@@ -485,6 +491,22 @@ GRADCHECK_GOLDEN = (
 def test_gradcheck_stdout_matches_golden(capsys):
     assert run(["gradcheck", "--seeds", "2", "--size", "16"]) == EXIT_OK
     assert capsys.readouterr().out == GRADCHECK_GOLDEN
+
+
+# The stdout of `gradcheck --seeds 10`, the full audit the README documents.
+GRADCHECK_FULL_GOLDEN = (
+    "ce_loss        max err 1.324e-08  tol 1e-04  PASS\n"
+    "iou_loss       max err 3.930e-09  tol 1e-04  PASS\n"
+    "ssim_loss      max err 5.230e-09  tol 1e-03  PASS\n"
+    "total_loss     max err 1.110e-08  tol 1e-03  PASS\n"
+    "gelu           max err 6.770e-09  tol 1e-04  PASS\n"
+    "mlp_backward   max err 3.568e-05  tol 1e-04  PASS\n"
+)
+
+
+def test_gradcheck_full_audit_stdout_matches_golden(capsys):
+    assert run(["gradcheck", "--seeds", "10"]) == EXIT_OK
+    assert capsys.readouterr().out == GRADCHECK_FULL_GOLDEN
 
 
 @pytest.mark.parametrize(

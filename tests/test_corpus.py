@@ -224,3 +224,38 @@ def test_label_ids_streams_and_matches_unique():
 
 def test_label_ids_ignores_background():
     assert label_ids([np.zeros((4, 4), dtype=np.uint8)]) == []
+
+
+def label_ids_reference(frames) -> list[int]:
+    """``label_ids`` counting every pixel, background included, then
+    dropping id 0: the whole-frame scan the foreground-only count replaces."""
+    ids: set[int] = set()
+    for frame in frames:
+        ids.update(np.flatnonzero(np.bincount(np.ravel(frame), minlength=256)).tolist())
+    ids.discard(0)
+    return sorted(ids)
+
+
+@st.composite
+def label_frames(draw):
+    """A uint8 label frame: all background, fully dense foreground, every
+    id 1..255 present, or random ids over a random share of background."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["zero", "dense", "all_ids", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return np.zeros((h, w), dtype=np.uint8)
+    if kind == "dense":
+        return rng.integers(1, 256, size=(h, w), dtype=np.uint8)
+    if kind == "all_ids":
+        ids = np.arange(256, dtype=np.uint8)
+        return np.resize(rng.permutation(ids), (h + 16, w + 16))
+    frame = rng.integers(1, draw(st.integers(2, 256)), size=(h, w), dtype=np.uint8)
+    frame[rng.random((h, w)) < draw(st.floats(0.0, 1.0))] = 0
+    return frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(label_frames(), min_size=0, max_size=4))
+def test_label_ids_equals_whole_frame_count(frames):
+    assert label_ids(frames) == label_ids_reference(frames)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from voskit.boxes import BBox, Motion, apply_motion
 from voskit.gradcheck import max_err
 from voskit.motion_mlp import (
+    GELU_COEFF,
     LAYER_SIZES,
     Adam,
     MotionPredictor,
@@ -51,6 +53,24 @@ def test_gelu_grad_matches_fd():
         [central_diff(lambda v: float(gelu(v)[0]), np.array([xi]))[0] for xi in x]
     )
     assert max_err(gelu_grad(x), numeric) < 1e-7
+
+
+def gelu_tanh_reference(x: np.ndarray) -> np.ndarray:
+    """``gelu_tanh`` with numpy's ``power`` for the cube, the slow form the
+    two-multiply cube must track."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.tanh(GELU_COEFF * (x + 0.044715 * x**3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(-50.0, 50.0)))
+def test_gelu_tanh_matches_the_power_form_to_the_spacing_of_one(x):
+    assert np.max(np.abs(gelu_tanh(x) - gelu_tanh_reference(x))) <= np.spacing(1.0)
+
+
+def test_gelu_tanh_equals_the_power_form_at_zero_and_unit_inputs():
+    x = np.array([0.0, 1.0, -1.0])
+    assert gelu_tanh(x).tobytes() == gelu_tanh_reference(x).tobytes()
 
 
 # --- initialization ---

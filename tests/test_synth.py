@@ -189,6 +189,16 @@ def test_generate_fully_outside_object_raises():
         generate_all(cfg)
 
 
+def test_generate_box_overflowing_to_non_finite_raises():
+    # the box covers the frame at x = -1e308; one step left, x overflows to -inf
+    wide = BBox(-1e308, 20, 1.5e308, 6)
+    cfg = simple_scene(objects=(ObjectSpec(1, wide, motion=LinearMotion(-1e308, 0)),))
+    frames = generate(cfg)
+    assert (next(frames)[0] == 1).all(axis=1).any()
+    with pytest.raises(SceneError, match="non-finite"):
+        next(frames)
+
+
 def test_generate_bitwise_deterministic():
     cfg = simple_scene()
     a = generate_all(cfg)
@@ -534,4 +544,20 @@ def test_scene_json_rejects_missing_required():
     data = scene_json()
     data["height"] = float("inf")
     with pytest.raises(SceneError, match="infinity"):
+        scene_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "motion",
+    [
+        {"kind": "linear", "v": [float("inf"), 0]},
+        {"kind": "linear", "v": ["nan", 0]},
+        {"kind": "accelerating", "v": [1, 0], "a": [0, float("-inf")]},
+        {"kind": "sinusoidal", "amplitude": [3, 0], "period": "nan"},
+    ],
+)
+def test_scene_json_rejects_non_finite_motion(motion):
+    data = scene_json()
+    data["objects"][0]["motion"] = motion
+    with pytest.raises(SceneError, match="must be finite"):
         scene_from_json(data)
