@@ -17,6 +17,12 @@ smooth L1, scaled up by ``lambda_small`` whenever the predicted box would
 come out smaller than the target box, which penalizes the shrinking-box
 failure mode more than overshoot. The loss takes whole (..., 4) arrays of
 motions and boxes, so training and dataset scoring make one call per batch.
+
+A predictor keeps its ten parameter tensors in one contiguous float64 vector
+of PARAM_COUNT values, layer by layer, each layer's (fan_in, fan_out) weight
+row-major and then its bias. ``params`` holds views into that vector, and
+training writes its gradients into a second vector of the same layout, so
+one Adam update over the whole vector is one step.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ SMOOTH_L1_DELTA = 1.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PARAM_COUNT = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]))
 
 
 def gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -80,6 +87,19 @@ def init_params(seed: int = 0) -> list[dict[str, np.ndarray]]:
     return params
 
 
+def param_views(flat: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """The {"weight", "bias"} layers of LAYER_SIZES as views into a flat
+    vector of PARAM_COUNT values."""
+    layers = []
+    start = 0
+    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+        bias_start = start + fan_in * fan_out
+        weight = flat[start:bias_start].reshape(fan_in, fan_out)
+        start = bias_start + fan_out
+        layers.append({"weight": weight, "bias": flat[bias_start:start]})
+    return layers
+
+
 def mlp_forward(params, x: np.ndarray):
     """Forward pass over a (n, 4) batch. Returns (output, cache); the cache
     keeps each layer's input, pre-activation and GeLU tanh for the backward
@@ -109,19 +129,22 @@ def mlp_forward(params, x: np.ndarray):
     return out, cache
 
 
-def mlp_backward(params, cache, grad_out: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Gradients of sum(grad_out * output) w.r.t. every parameter."""
+def mlp_backward(params, cache, grad_out: np.ndarray, out=None) -> list[dict[str, np.ndarray]]:
+    """Gradients of sum(grad_out * output) w.r.t. every parameter, written
+    into and returned as ``out``: {"weight", "bias"} layers such as
+    ``param_views`` of a flat gradient vector (of a new one when not
+    given)."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if cache["squeeze"]:
         grad_out = grad_out[None, :]
-    grads = [None] * len(params)
+    grads = param_views(np.empty(PARAM_COUNT)) if out is None else out
     delta = grad_out
     last = len(params) - 1
     for i in range(last, -1, -1):
         if i != last:
             delta = delta * gelu_grad(cache["preacts"][i], cache["tanhs"][i])
-        a = cache["activations"][i]
-        grads[i] = {"weight": a.T @ delta, "bias": delta.sum(axis=0)}
+        np.matmul(cache["activations"][i].T, delta, out=grads[i]["weight"])
+        delta.sum(axis=0, out=grads[i]["bias"])
         if i > 0:
             delta = delta @ params[i]["weight"].T
     return grads
@@ -129,31 +152,31 @@ def mlp_backward(params, cache, grad_out: np.ndarray) -> list[dict[str, np.ndarr
 
 @dataclass
 class Adam:
-    """Decoupled-weight-decay Adam over a params list, with the moment
-    decays ADAM_BETA1 and ADAM_BETA2 and the denominator guard ADAM_EPS."""
+    """Decoupled-weight-decay Adam over one flat parameter vector, with the
+    moment decays ADAM_BETA1 and ADAM_BETA2 and the denominator guard
+    ADAM_EPS; ``m`` and ``v`` are vectors of the same layout."""
 
     lr: float = 1e-3
     weight_decay: float = 0.0
     step_count: int = field(default=0, init=False)
-    m: list = field(default_factory=list, init=False)
-    v: list = field(default_factory=list, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
 
-    def step(self, params, grads) -> None:
-        if not self.m:
-            self.m = [{k: np.zeros_like(v) for k, v in layer.items()} for layer in params]
-            self.v = [{k: np.zeros_like(v) for k, v in layer.items()} for layer in params]
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Update the 1-D ``flat`` in place from its gradient ``grad``."""
+        if self.m is None:
+            self.m = np.zeros_like(flat)
+            self.v = np.zeros_like(flat)
         self.step_count += 1
         t = self.step_count
-        for layer, g, m, v in zip(params, grads, self.m, self.v):
-            for key in layer:
-                m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * g[key]
-                v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * g[key] ** 2
-                m_hat = m[key] / (1.0 - ADAM_BETA1**t)
-                v_hat = v[key] / (1.0 - ADAM_BETA2**t)
-                update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-                if self.weight_decay:
-                    update = update + self.weight_decay * layer[key]
-                layer[key] -= self.lr * update
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
+        m_hat = self.m / (1.0 - ADAM_BETA1**t)
+        v_hat = self.v / (1.0 - ADAM_BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if self.weight_decay:
+            update = update + self.weight_decay * flat
+        flat -= self.lr * update
 
 
 def smooth_l1(diff: np.ndarray):
@@ -221,15 +244,21 @@ class MotionPredictor:
     """Wraps the network with motion normalization.
 
     ``scale`` is the normalization divisor, conventionally
-    0.1 * sqrt(H^2 + W^2) of the frame. Parameters live in ``params`` as a
-    list of {"weight", "bias"} layers.
+    0.1 * sqrt(H^2 + W^2) of the frame. The parameters are copied into the
+    flat vector ``flat``; ``params`` lists its {"weight", "bias"} layers as
+    views, so writes into them reach ``flat`` and training updates them in
+    place. An array put in place of a view is not trained.
     """
 
     def __init__(self, scale: float, params=None, seed: int = 0):
         if not np.isfinite(scale) or scale <= 0:
             raise ValueError(f"scale must be finite and positive, got {scale}")
         self.scale = float(scale)
-        self.params = params if params is not None else init_params(seed)
+        self.flat = np.empty(PARAM_COUNT)
+        self.params = param_views(self.flat)
+        for view, layer in zip(self.params, init_params(seed) if params is None else params, strict=True):
+            view["weight"][...] = layer["weight"]
+            view["bias"][...] = layer["bias"]
 
     @classmethod
     def for_frame(cls, height: int, width: int, seed: int = 0) -> "MotionPredictor":
@@ -318,8 +347,11 @@ def train_pt(
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     t_in, t_out, prev = _stack_triples(triples)
+    x = t_in / predictor.scale
     n = len(t_in)
     optimizer = Adam(lr=lr, weight_decay=weight_decay)
+    grad = np.empty(PARAM_COUNT)
+    grad_layers = param_views(grad)
     history = []
     rng = Rng(seed)
     for epoch in range(epochs):
@@ -328,10 +360,10 @@ def train_pt(
         losses = np.empty(n)
         for start in range(0, n, batch):
             chunk = order[start : start + batch]
-            out, cache = mlp_forward(predictor.params, t_in[chunk] / predictor.scale)
-            values, grad = pt_loss(out * predictor.scale, t_out[chunk], prev[chunk], lambda_small)
+            out, cache = mlp_forward(predictor.params, x[chunk])
+            values, grad_pred = pt_loss(out * predictor.scale, t_out[chunk], prev[chunk], lambda_small)
             losses[start : start + len(chunk)] = values
-            grads = mlp_backward(predictor.params, cache, grad * predictor.scale / len(chunk))
-            optimizer.step(predictor.params, grads)
+            mlp_backward(predictor.params, cache, grad_pred * predictor.scale / len(chunk), grad_layers)
+            optimizer.step(predictor.flat, grad)
         history.append(_mean_loss(losses))
     return history

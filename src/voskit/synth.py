@@ -29,6 +29,9 @@ from .rng import Rng
 
 BLOB_VALUE = 0.9
 BLOB_ATTEMPTS = 100
+# Largest frame height or width a scene may ask for; covers DAVIS full
+# resolution (3840x2160) and bounds a frame-sized float64 array at 128 MiB.
+MAX_FRAME_SIDE = 4096
 
 
 class SceneError(ValueError):
@@ -132,8 +135,8 @@ class SceneConfig:
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise SceneError(f"frame dims must be positive, got {self.height}x{self.width}")
+        if not (1 <= self.height <= MAX_FRAME_SIDE and 1 <= self.width <= MAX_FRAME_SIDE):
+            raise SceneError(f"frame sides must be in 1..{MAX_FRAME_SIDE}, got {self.height}x{self.width}")
         if self.frames < 3:
             raise SceneError(f"need at least 3 frames for tracking, got {self.frames}")
         if not self.objects:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import voskit
-from voskit import checkpoint, corpus
+from voskit import checkpoint, corpus, synth
 from voskit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISSING, EXIT_OK, main
 from voskit.motion_mlp import MotionPredictor
 
@@ -111,6 +111,20 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert run(["synth", tmp_path / "scene.json", tmp_path / "out"]) == EXIT_INPUT
         assert "internal" not in capsys.readouterr().err
+
+
+def test_synth_oversized_frame_exits_2_before_rendering(tmp_path, capsys, monkeypatch):
+    def render(cfg):
+        raise AssertionError(f"rendered a {cfg.height}x{cfg.width} scene")
+
+    # no frame is allocated: the scene is rejected before anything is rendered
+    monkeypatch.setattr(synth, "generate", render)
+    for height, width in ((60000, 90000), (synth.MAX_FRAME_SIDE + 1, 90)):
+        scene = write_scene(tmp_path, dict(SCENE, height=height, width=width))
+        assert run(["synth", scene, tmp_path / "out"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "frame sides" in err and "internal" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_missing_scene_file_exits_2(tmp_path):

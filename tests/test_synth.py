@@ -11,6 +11,7 @@ from scipy import ndimage
 from voskit.boxes import BBox
 from voskit.metrics import boundary_pixels, erode, jaccard
 from voskit.synth import (
+    MAX_FRAME_SIDE,
     AcceleratingMotion,
     CorruptionSpec,
     LinearMotion,
@@ -241,6 +242,11 @@ def test_config_validation():
         CorruptionSpec(flip_prob=1.5)
     with pytest.raises(SceneError):
         CorruptionSpec(blob_size=(9, 4))
+    too_big = MAX_FRAME_SIDE + 1
+    for height, width in ((0, 90), (60, 0), (too_big, 90), (60, too_big), (60000, 90000)):
+        with pytest.raises(SceneError, match=f"frame sides must be in 1..{MAX_FRAME_SIDE}"):
+            simple_scene(height=height, width=width)
+    assert simple_scene(height=MAX_FRAME_SIDE, width=MAX_FRAME_SIDE).width == MAX_FRAME_SIDE
 
 
 # --- corruption ---
