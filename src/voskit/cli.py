@@ -27,10 +27,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, checkpoint, corpus, metrics, synth
+# Only what every subcommand shares loads here; each cmd_* imports the
+# modules that it alone runs, so a stage starts without compiling the rest.
+from . import __version__, corpus
 from .boxes import attention_map, bbox_from_mask
-from .gradcheck import run_all
-from .motion_mlp import MotionPredictor, dataset_loss, extract_triples, train_pt
 from .tracker import (
     TRACK_CSV_HEADER,
     TrackRow,
@@ -73,12 +73,13 @@ def _dump_json(data: dict, path) -> None:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     with open(args.scene) as fh:
-        data = json.load(fh)
-    try:
-        base = synth.scene_from_json(data)
-    except synth.SceneError as exc:
-        raise synth.SceneError(f"{args.scene}: {exc}") from exc
+        try:
+            base = synth.scene_from_json(json.load(fh))
+        except (json.JSONDecodeError, UnicodeDecodeError, synth.SceneError) as exc:
+            raise synth.SceneError(f"{args.scene}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.sequences):
         cfg = dataclasses.replace(base, seed=base.seed + k)
@@ -108,7 +109,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_predictor(path) -> MotionPredictor:
+def _load_predictor(path):
+    from . import checkpoint
+    from .motion_mlp import MotionPredictor
+
     if not path:
         raise MissingInputError("variant 'pt' requires --weights")
     if not os.path.isfile(path):
@@ -172,6 +176,8 @@ def _eval_pairs(pred_root, gt_root):
 
 
 def cmd_eval(args) -> int:
+    from . import metrics
+
     if args.report:
         _check_output_file(args.report)
     report = metrics.evaluate_corpus(_eval_pairs(args.pred_corpus, args.gt_corpus))
@@ -183,6 +189,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train_pt(args) -> int:
+    from . import checkpoint
+    from .motion_mlp import MotionPredictor, dataset_loss, extract_triples, train_pt
+
     _check_output_file(args.out)
     triples = []
     dims: tuple[int, int] | None = None
@@ -227,6 +236,8 @@ def cmd_train_pt(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import run_all
+
     results = run_all(base_seed=args.seed, n_seeds=args.seeds, size=args.size)
     failed = False
     for r in results:
@@ -237,6 +248,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_transplant(args) -> int:
+    from . import checkpoint
+
     target = checkpoint.load(args.target)
     source = checkpoint.load(args.source)
     merged, report = checkpoint.transplant(
@@ -330,14 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except MissingInputError as exc:
-        _fail(str(exc))
-        return EXIT_MISSING
-    except (
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that mean malformed input (exit 2). Called only once
+    an exception reaches ``main``, so no subcommand loads ``synth`` or
+    ``checkpoint`` just to name their error classes."""
+    from . import checkpoint, synth
+
+    return (
         corpus.CorpusError,
         synth.SceneError,
         checkpoint.CheckpointError,
@@ -346,7 +358,17 @@ def main(argv=None) -> int:
         NotADirectoryError,
         IsADirectoryError,
         FileExistsError,
-    ) as exc:
+    )
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except MissingInputError as exc:
+        _fail(str(exc))
+        return EXIT_MISSING
+    except _input_errors() as exc:
         _fail(str(exc))
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

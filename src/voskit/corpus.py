@@ -83,7 +83,11 @@ def read_pgm(path) -> np.ndarray:
         raise CorpusError(
             f"{path}: pixel data has {len(data)} bytes, expected {expected}"
         )
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
+    mask = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    # maxval 255 (all that write_pgm writes) admits every byte; skip the scan.
+    if maxval < 255 and (top := int(mask.max())) > maxval:
+        raise CorpusError(f"{path}: pixel value {top} exceeds maxval {maxval}")
+    return mask.copy()
 
 
 def frame_name(index: int) -> str:

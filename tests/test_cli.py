@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import hashlib
 import json
@@ -84,10 +85,13 @@ def test_synth_sequences_differ_from_each_other(tmp_path):
 
 
 def test_synth_bad_json_exits_2(tmp_path, capsys):
+    # An empty file is what `voskit synth /dev/null out` reads; the last is
+    # not UTF-8.
     bad = tmp_path / "scene.json"
-    bad.write_text("{not json")
-    assert run(["synth", bad, tmp_path / "out"]) == EXIT_INPUT
-    assert capsys.readouterr().err != ""
+    for blob in (b"{not json", b"", b'{"seed": "\xd0\x00"}'):
+        bad.write_bytes(blob)
+        assert run(["synth", bad, tmp_path / "out"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
@@ -352,6 +356,18 @@ def test_frame_dims_drifting_within_a_sequence_exit_2(command, built_corpus, tmp
     assert run([command, built_corpus, second]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "00003.pgm" in err and "internal" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "filter"])
+def test_pixel_above_pgm_maxval_exits_2(command, built_corpus, tmp_path, capsys):
+    seq = corpus.list_sequences(built_corpus)[0]
+    second = built_corpus / seq / "masks_pred" / corpus.frame_name(2)
+    second.write_bytes(b"P5\n90 60\n1\n" + bytes([7]) * (60 * 90))
+    out = built_corpus if command == "eval" else tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, built_corpus, out]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "00002.pgm: pixel value 7 exceeds maxval 1" in err and "internal" not in err
 
 
 def test_eval_prediction_dims_differing_from_ground_truth_exit_2(tmp_path, capsys):
@@ -632,46 +648,120 @@ def test_transplant_bad_magic_exits_2(tmp_path):
 # --- parser plumbing ---
 
 
-def test_cli_import_skips_scipy_signal():
-    # A fresh interpreter: this one has already imported whatever the other
-    # tests pulled in. voskit runs on numpy alone, so no scipy module loads.
+# Fresh interpreters: this one has already imported whatever the other tests
+# pulled in, so only a new process shows what a command loads by itself.
+
+
+def fresh_interpreter(code, *args):
+    """Run ``code`` with voskit's sources first on sys.path; ``args`` land in
+    sys.argv[1:]."""
     src = os.path.dirname(os.path.dirname(voskit.__file__))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import voskit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+
+
+LOADED_VOSKIT = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'voskit'))"
+
+
+def fresh_main(argv, setup=""):
+    """main(argv) in a fresh interpreter after the statements ``setup``.
+    Returns the process and the voskit modules loaded once main returned."""
+    proc = fresh_interpreter(
+        f"{setup}\nfrom voskit.cli import main\ncode = main(sys.argv[1:])\n"
+        f"{LOADED_VOSKIT}\nsys.exit(code)",
+        *argv,
+    )
+    return proc, set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_skips_scipy_signal():
+    # voskit runs on numpy alone, so no scipy module loads.
+    proc = fresh_interpreter(
+        "import voskit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_package_root_imports_no_submodule():
     # The root holds only __version__: importing it must not load a voskit
     # module or numpy.
-    src = os.path.dirname(os.path.dirname(voskit.__file__))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import voskit; "
-        "print(voskit.__version__, sorted(m for m in sys.modules "
+    proc = fresh_interpreter(
+        "import voskit; print(voskit.__version__, sorted(m for m in sys.modules "
         "if m.startswith('voskit.') or m.split('.')[0] == 'numpy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == f"{voskit.__version__} []"
+    assert proc.stdout.strip() == f"{voskit.__version__} []", proc.stderr
+
+
+CLI_IMPORT_MODULES = {"voskit", "voskit.cli", "voskit.corpus", "voskit.tracker", "voskit.boxes"}
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(built_corpus, tmp_path):
+    proc = fresh_interpreter(f"import voskit.cli\n{LOADED_VOSKIT}")
+    assert set(ast.literal_eval(proc.stdout)) == CLI_IMPORT_MODULES, proc.stderr
+
+    proc, loaded = fresh_main(["eval", built_corpus, built_corpus])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("synth", "gradcheck", "losses", "grid", "motion_mlp", "checkpoint"):
+        assert f"voskit.{name}" not in loaded
+
+    proc, loaded = fresh_main(["gradcheck", "--seeds", "1", "--size", "8"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("synth", "metrics", "checkpoint"):
+        assert f"voskit.{name}" not in loaded
+
+    proc, loaded = fresh_main(["filter", built_corpus, tmp_path / "filtered"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert loaded == CLI_IMPORT_MODULES
+
+
+def test_exit_codes_in_a_fresh_interpreter(built_corpus, tmp_path):
+    # main looks the exit-2 error classes of lazily loaded modules up only
+    # once an exception reaches it; in-process tests would pass a wrong
+    # lookup, because earlier tests have loaded every module.
+    bad_scene = write_scene(tmp_path, dict(SCENE, wibble=3))
+    not_json = tmp_path / "empty.json"
+    not_json.write_text("")
+    junk = tmp_path / "junk.tvck"
+    junk.write_bytes(b"JUNKJUNKJUNK")
+    good = tmp_path / "good.tvck"
+    checkpoint.save(
+        checkpoint.ParamStore.from_items(MotionPredictor.for_frame(60, 90, seed=1).param_items()),
+        good,
+    )
+    weights = ["--variant", "pt", "--weights", junk]
+    boom = "import voskit.corpus\ndef boom(root): raise ValueError('boom')\n"
+    for argv, setup, code, err in (
+        (["synth", bad_scene, tmp_path / "o1"], "", EXIT_INPUT, f"error: {bad_scene}: "),
+        (["synth", not_json, tmp_path / "o2"], "", EXIT_INPUT, f"error: {not_json}: "),
+        (["filter", built_corpus, tmp_path / "o3", *weights], "", EXIT_INPUT, "error: bad magic"),
+        (
+            ["transplant", "--target", good, "--source", junk, "--prefix", "pt.", "--out", tmp_path / "o4"],
+            "",
+            EXIT_INPUT,
+            "error: bad magic",
+        ),
+        (
+            ["eval", built_corpus, built_corpus],
+            boom + "voskit.corpus.list_sequences = boom",
+            EXIT_INTERNAL,
+            "error: internal: ValueError: boom",
+        ),
+    ):
+        proc, _ = fresh_main(argv, setup)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(err), proc.stderr
 
 
 def test_eval_runs_with_scipy_blocked(built_corpus, tmp_path, capsys):
     # A fresh interpreter where sys.modules["scipy"] = None makes every scipy
     # import fail; scoring must give the in-process stdout and report.
-    src = os.path.dirname(os.path.dirname(voskit.__file__))
     blocked = tmp_path / "blocked.csv"
-    argv = ["eval", str(built_corpus), str(built_corpus), "--report", str(blocked)]
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None; "
-        f"from voskit.cli import main; sys.exit(main({argv!r}))"
+    proc = fresh_interpreter(
+        "sys.modules['scipy'] = None\nfrom voskit.cli import main\nsys.exit(main(sys.argv[1:]))",
+        "eval", built_corpus, built_corpus, "--report", blocked,
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == EXIT_OK, proc.stderr
 
     capsys.readouterr()

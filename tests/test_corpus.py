@@ -73,6 +73,15 @@ def test_pgm_rejects_bad_maxval(tmp_path):
         read_pgm(path)
 
 
+def test_pgm_rejects_pixels_above_maxval(tmp_path):
+    path = tmp_path / "over.pgm"
+    path.write_bytes(b"P5\n2 2\n1\n" + bytes([0, 1, 7, 0]))
+    with pytest.raises(CorpusError, match="pixel value 7 exceeds maxval 1"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n2 2\n7\n" + bytes([0, 1, 7, 0]))
+    np.testing.assert_array_equal(read_pgm(path), [[0, 1], [7, 0]])
+
+
 def test_pgm_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 9)
