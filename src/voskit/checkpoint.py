@@ -139,8 +139,17 @@ class _Reader:
 
 
 def load(path) -> ParamStore:
+    """Read a store from path; every CheckpointError it raises names path."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse(blob)
+    except CheckpointError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse(blob: bytes) -> ParamStore:
     reader = _Reader(blob)
     magic = reader.take(4, "magic") if len(blob) >= 4 else blob
     if magic != MAGIC:

@@ -300,8 +300,10 @@ class MotionPredictor:
             if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
                 raise ValueError(f"pt.layer{i} has non-finite weights or biases")
             params.append({"weight": weight, "bias": bias})
-        scale = float(np.asarray(items["pt.norm.scale"]).reshape(-1)[0])
-        return cls(scale=scale, params=params)
+        scale = np.asarray(items["pt.norm.scale"])
+        if scale.size != 1:
+            raise ValueError(f"pt.norm.scale must hold one value, got shape {scale.shape}")
+        return cls(scale=float(scale.reshape(-1)[0]), params=params)
 
 
 def _stack_triples(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

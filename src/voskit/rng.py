@@ -17,7 +17,6 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

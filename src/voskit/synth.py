@@ -19,7 +19,7 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -295,108 +295,101 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _section(value, context: str) -> dict:
+def _section(value, context: str, known=None) -> dict:
+    """value, checked to be a JSON object with no key outside known, if given."""
     if not isinstance(value, dict):
         raise SceneError(f"{context}: expected a JSON object, got {type(value).__name__}")
+    extra = set(value) - set(value if known is None else known)
+    if extra:
+        raise SceneError(f"{context}: unknown keys {sorted(extra)}")
     return value
 
 
-# Motion kind -> the keys its JSON may hold besides "kind".
-_MOTION_KEYS = {
-    "linear": {"v"},
-    "accelerating": {"v", "a"},
-    "sinusoidal": {"amplitude", "period"},
+def _present(data: dict, convert: dict) -> dict:
+    """Keyword arguments from the keys of data that convert names, each
+    converted; a key left out leaves its field's default to the dataclass."""
+    return {key: fn(data[key]) for key, fn in convert.items() if key in data}
+
+
+def _pair(value, convert) -> tuple:
+    a, b = value
+    return convert(a), convert(b)
+
+
+# Motion kind -> its class and, for each JSON key, the fields it fills: a
+# key naming two fields holds an [x, y] pair, a key naming one a number.
+_MOTIONS = {
+    "linear": (LinearMotion, {"v": ("vx", "vy")}),
+    "accelerating": (AcceleratingMotion, {"v": ("vx", "vy"), "a": ("ax", "ay")}),
+    "sinusoidal": (SinusoidalMotion, {"amplitude": ("amp_x", "amp_y"), "period": ("period",)}),
 }
 
 
-def _motion_from_json(data: dict) -> object:
-    kind = data.get("kind", "linear")
-    if not isinstance(kind, str) or kind not in _MOTION_KEYS:
+def _motion_from_json(data, context: str) -> object:
+    kind = _section(data, context).get("kind", "linear")
+    if not isinstance(kind, str) or kind not in _MOTIONS:
         raise SceneError(f"unknown motion kind {kind!r}")
-    extra = set(data) - _MOTION_KEYS[kind] - {"kind"}
-    if extra:
-        raise SceneError(f"motion ({kind}): unknown keys {sorted(extra)}")
-    if kind == "linear":
-        vx, vy = data.get("v", [0.0, 0.0])
-        return LinearMotion(vx=float(vx), vy=float(vy))
-    if kind == "accelerating":
-        vx, vy = data.get("v", [0.0, 0.0])
-        ax, ay = data.get("a", [0.0, 0.0])
-        return AcceleratingMotion(vx=float(vx), vy=float(vy), ax=float(ax), ay=float(ay))
-    # sinusoidal
-    ax, ay = data.get("amplitude", [0.0, 0.0])
-    return SinusoidalMotion(amp_x=float(ax), amp_y=float(ay), period=float(data.get("period", 12.0)))
+    cls, keys = _MOTIONS[kind]
+    _section(data, f"motion ({kind})", {"kind", *keys})
+    kwargs = {}
+    for key, names in keys.items():
+        if key in data:
+            values = _pair(data[key], float) if len(names) == 2 else (float(data[key]),)
+            kwargs.update(zip(names, values))
+    return cls(**kwargs)
 
 
 def _motion_to_json(motion) -> dict:
-    if isinstance(motion, LinearMotion):
-        return {"kind": "linear", "v": [motion.vx, motion.vy]}
-    if isinstance(motion, AcceleratingMotion):
-        return {"kind": "accelerating", "v": [motion.vx, motion.vy], "a": [motion.ax, motion.ay]}
-    if isinstance(motion, SinusoidalMotion):
-        return {
-            "kind": "sinusoidal",
-            "amplitude": [motion.amp_x, motion.amp_y],
-            "period": motion.period,
-        }
+    for kind, (cls, keys) in _MOTIONS.items():
+        if isinstance(motion, cls):
+            echo = {"kind": kind}
+            for key, names in keys.items():
+                values = [getattr(motion, name) for name in names]
+                echo[key] = values if len(names) == 2 else values[0]
+            return echo
     raise SceneError(f"unknown motion type {type(motion).__name__}")
 
 
 def scene_from_json(data: dict) -> SceneConfig:
-    """Build a config from parsed JSON. Malformed input raises SceneError:
-    unknown keys (so typos fail loudly), a section that is not a JSON
-    object, and a value that does not convert (a number JSON reads as
-    infinity, say)."""
+    """Build a config from parsed JSON; a key left out takes its dataclass
+    field's default. Malformed input raises SceneError: unknown keys (so
+    typos fail loudly), a section that is not a JSON object, and a value
+    that does not convert (a number JSON reads as infinity, say)."""
+    convert = {
+        **dict.fromkeys(("height", "width", "frames", "seed"), int),
+        "objects": lambda objects: tuple(_object_from_json(o, i) for i, o in enumerate(objects)),
+        "corruption": _corruption_from_json,
+    }
     try:
-        return _scene_from_json(_section(data, "scene"))
+        _section(data, "scene", convert)
+        for key in ("height", "width", "frames", "objects"):
+            _require(data, key, "scene")
+        return SceneConfig(**_present(data, convert))
     except SceneError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise SceneError(str(exc)) from exc
 
 
-def _scene_from_json(data: dict) -> SceneConfig:
-    known = {"height", "width", "frames", "seed", "objects", "corruption"}
-    extra = set(data) - known
-    if extra:
-        raise SceneError(f"scene: unknown keys {sorted(extra)}")
-    objects = []
-    raw_objects = _require(data, "objects", "scene")
-    for i, raw in enumerate(raw_objects):
-        raw = _section(raw, f"object {i}")
-        known_obj = {"id", "shape", "box", "motion"}
-        extra = set(raw) - known_obj
-        if extra:
-            raise SceneError(f"object {i}: unknown keys {sorted(extra)}")
-        x, y, w, h = _require(raw, "box", f"object {i}")
-        objects.append(
-            ObjectSpec(
-                object_id=int(raw.get("id", i + 1)),
-                box=BBox(x=float(x), y=float(y), w=float(w), h=float(h)),
-                shape=raw.get("shape", "rectangle"),
-                motion=_motion_from_json(_section(raw.get("motion", {}), f"object {i} motion")),
-            )
-        )
-    raw_corruption = _section(data.get("corruption", {}), "corruption")
-    known_cor = {"blobs", "blob_size", "min_distance", "flip_prob"}
-    extra = set(raw_corruption) - known_cor
-    if extra:
-        raise SceneError(f"corruption: unknown keys {sorted(extra)}")
-    lo, hi = raw_corruption.get("blob_size", (8, 16))
-    corruption = CorruptionSpec(
-        blobs=int(raw_corruption.get("blobs", 0)),
-        blob_size=(int(lo), int(hi)),
-        min_distance=float(raw_corruption.get("min_distance", 40.0)),
-        flip_prob=float(raw_corruption.get("flip_prob", 0.0)),
+def _object_from_json(data, i: int) -> ObjectSpec:
+    context = f"object {i}"
+    convert = {"shape": str, "motion": lambda motion: _motion_from_json(motion, f"{context} motion")}
+    x, y, w, h = _require(_section(data, context, {"id", "box", *convert}), "box", context)
+    return ObjectSpec(
+        object_id=int(data.get("id", i + 1)),
+        box=BBox(x=float(x), y=float(y), w=float(w), h=float(h)),
+        **_present(data, convert),
     )
-    return SceneConfig(
-        height=int(_require(data, "height", "scene")),
-        width=int(_require(data, "width", "scene")),
-        frames=int(_require(data, "frames", "scene")),
-        seed=int(data.get("seed", 0)),
-        objects=tuple(objects),
-        corruption=corruption,
-    )
+
+
+def _corruption_from_json(data) -> CorruptionSpec:
+    convert = {
+        "blobs": int,
+        "blob_size": lambda size: _pair(size, int),
+        "min_distance": float,
+        "flip_prob": float,
+    }
+    return CorruptionSpec(**_present(_section(data, "corruption", convert), convert))
 
 
 def scene_to_json(cfg: SceneConfig) -> dict:
@@ -415,10 +408,5 @@ def scene_to_json(cfg: SceneConfig) -> dict:
             }
             for o in cfg.objects
         ],
-        "corruption": {
-            "blobs": cfg.corruption.blobs,
-            "blob_size": list(cfg.corruption.blob_size),
-            "min_distance": cfg.corruption.min_distance,
-            "flip_prob": cfg.corruption.flip_prob,
-        },
+        "corruption": {**asdict(cfg.corruption), "blob_size": list(cfg.corruption.blob_size)},
     }

@@ -177,6 +177,25 @@ def test_all_errors_share_base_class():
         assert issubclass(err, CheckpointError)
 
 
+@pytest.mark.parametrize(
+    "blob, error, message",
+    [
+        (b"JUNKJUNK", BadMagicError, "bad magic b'JUNK', expected b'TVCK'"),
+        (MAGIC + b"\x09", UnsupportedVersionError, "unsupported version 9"),
+        (MAGIC + b"\x01\x00\x00", TruncatedFileError, "file ends inside entry count (need 4 bytes at offset 5)"),
+        (MAGIC + b"\x01" + bytes(5), EntryShapeError, "1 trailing bytes after last declared entry"),
+    ],
+    ids=["magic", "version", "truncated", "entry"],
+)
+def test_load_errors_name_the_file(tmp_path, blob, error, message):
+    # transplant loads two files; its error must say which one is bad
+    path = tmp_path / "w.tvck"
+    path.write_bytes(blob)
+    with pytest.raises(error) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 # --- transplant ---
 
 

@@ -297,6 +297,19 @@ def test_filter_pt_with_non_finite_weights_exits_2(built_corpus, tmp_path, capsy
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_filter_pt_with_a_scale_entry_not_of_one_value_exits_2(built_corpus, tmp_path, capsys):
+    items = dict(MotionPredictor.for_frame(60, 90, seed=1).param_items())
+    weights = tmp_path / "w.tvck"
+    for scale in (np.zeros(0), np.array([5.0, 7.0])):
+        items["pt.norm.scale"] = scale
+        checkpoint.save(checkpoint.ParamStore.from_items(items.items()), weights)
+        code = run(
+            ["filter", built_corpus, tmp_path / "f", "--variant", "pt", "--weights", weights]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {weights}: pt.norm.scale must hold one value")
+
+
 def test_filter_nonexistent_corpus_exits_2(tmp_path):
     assert run(["filter", tmp_path / "ghost", tmp_path / "f"]) == EXIT_INPUT
 
@@ -735,12 +748,12 @@ def test_exit_codes_in_a_fresh_interpreter(built_corpus, tmp_path):
     for argv, setup, code, err in (
         (["synth", bad_scene, tmp_path / "o1"], "", EXIT_INPUT, f"error: {bad_scene}: "),
         (["synth", not_json, tmp_path / "o2"], "", EXIT_INPUT, f"error: {not_json}: "),
-        (["filter", built_corpus, tmp_path / "o3", *weights], "", EXIT_INPUT, "error: bad magic"),
+        (["filter", built_corpus, tmp_path / "o3", *weights], "", EXIT_INPUT, f"error: {junk}: bad magic"),
         (
             ["transplant", "--target", good, "--source", junk, "--prefix", "pt.", "--out", tmp_path / "o4"],
             "",
             EXIT_INPUT,
-            "error: bad magic",
+            f"error: {junk}: bad magic",
         ),
         (
             ["eval", built_corpus, built_corpus],

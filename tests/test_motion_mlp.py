@@ -706,3 +706,8 @@ def test_from_param_items_validates():
         MotionPredictor.from_param_items(items)
     with pytest.raises(ValueError):
         MotionPredictor.from_param_items({})
+    # the scale entry holds exactly one value: none, or a second, is an error
+    for scale in (np.zeros(0), np.array([5.0, 7.0])):
+        items = dict(model.param_items(), **{"pt.norm.scale": scale})
+        with pytest.raises(ValueError, match=rf"pt.norm.scale .* shape \({len(scale)},\)"):
+            MotionPredictor.from_param_items(items)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -476,6 +477,111 @@ def test_scene_json_defaults():
     assert cfg.objects[0].motion.offset(5) == (0, 0)
     assert cfg.corruption.blobs == 0 and cfg.corruption.flip_prob == 0.0
     assert cfg.seed == 0
+
+
+def echo_text(data) -> str:
+    """The scene echo as ``synth`` writes it; the dump tells 0 from 0.0."""
+    return json.dumps(scene_to_json(scene_from_json(data)), indent=2, sort_keys=True)
+
+
+# One object per motion kind, both shapes, and every optional key left out
+# somewhere: seed, shape, motion, kind, v, a, amplitude, period, corruption
+# and each corruption key. The echo was taken before the parser read its
+# defaults from the dataclasses.
+SPARSE_SCENE = {
+    "height": 24,
+    "width": 40,
+    "frames": 3,
+    "objects": [
+        {"box": [2, 3, 6, 4]},
+        {"id": 7, "box": [20, 2, 8, 6], "shape": "ellipse", "motion": {}},
+        {"box": [4, 14, 5, 5], "motion": {"kind": "accelerating"}},
+        {"box": [28, 14, 7, 7], "shape": "ellipse", "motion": {"kind": "sinusoidal"}},
+    ],
+}
+SPARSE_ECHO = {
+    "height": 24,
+    "width": 40,
+    "frames": 3,
+    "seed": 0,
+    "objects": [
+        {
+            "id": 1,
+            "shape": "rectangle",
+            "box": [2.0, 3.0, 6.0, 4.0],
+            "motion": {"kind": "linear", "v": [0.0, 0.0]},
+        },
+        {
+            "id": 7,
+            "shape": "ellipse",
+            "box": [20.0, 2.0, 8.0, 6.0],
+            "motion": {"kind": "linear", "v": [0.0, 0.0]},
+        },
+        {
+            "id": 3,
+            "shape": "rectangle",
+            "box": [4.0, 14.0, 5.0, 5.0],
+            "motion": {"kind": "accelerating", "v": [0.0, 0.0], "a": [0.0, 0.0]},
+        },
+        {
+            "id": 4,
+            "shape": "ellipse",
+            "box": [28.0, 14.0, 7.0, 7.0],
+            "motion": {"kind": "sinusoidal", "amplitude": [0.0, 0.0], "period": 12.0},
+        },
+    ],
+    "corruption": {"blobs": 0, "blob_size": [8, 16], "min_distance": 40.0, "flip_prob": 0.0},
+}
+
+
+@pytest.mark.parametrize("corruption", [None, {}])
+def test_scene_json_echo_of_omitted_keys_matches_golden(corruption):
+    data = dict(SPARSE_SCENE) if corruption is None else dict(SPARSE_SCENE, corruption=corruption)
+    assert echo_text(data) == json.dumps(SPARSE_ECHO, indent=2, sort_keys=True)
+
+
+def test_scene_json_echo_converts_each_value():
+    # ints truncate, floats echo with a point, JSON true is the int 1
+    data = {
+        "height": 24.0,
+        "width": 40,
+        "frames": 3.9,
+        "seed": True,
+        "objects": [
+            {"id": 5.5, "box": [2, 3, 6, 4], "motion": {"v": [1, 2]}},
+            {"box": [20, 2, 8, 6], "motion": {"kind": "accelerating", "a": [1, -1]}},
+            {"box": [4, 14, 5, 5], "motion": {"kind": "sinusoidal", "amplitude": [3, 0], "period": 10}},
+        ],
+        "corruption": {"blobs": 2.7, "blob_size": [2.9, 4.0], "min_distance": 3, "flip_prob": 0},
+    }
+    expected = {
+        "height": 24,
+        "width": 40,
+        "frames": 3,
+        "seed": 1,
+        "objects": [
+            {
+                "id": 5,
+                "shape": "rectangle",
+                "box": [2.0, 3.0, 6.0, 4.0],
+                "motion": {"kind": "linear", "v": [1.0, 2.0]},
+            },
+            {
+                "id": 2,
+                "shape": "rectangle",
+                "box": [20.0, 2.0, 8.0, 6.0],
+                "motion": {"kind": "accelerating", "v": [0.0, 0.0], "a": [1.0, -1.0]},
+            },
+            {
+                "id": 3,
+                "shape": "rectangle",
+                "box": [4.0, 14.0, 5.0, 5.0],
+                "motion": {"kind": "sinusoidal", "amplitude": [3.0, 0.0], "period": 10.0},
+            },
+        ],
+        "corruption": {"blobs": 2, "blob_size": [2, 4], "min_distance": 3.0, "flip_prob": 0.0},
+    }
+    assert echo_text(data) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_scene_json_sinusoidal_motion():
