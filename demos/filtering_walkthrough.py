@@ -38,10 +38,10 @@ def main() -> None:
     # 14 so it can print the before/after table at the end.
     labels, frames, blob_events = [], [], []
     for t, (label, _boxes, _clipped) in enumerate(generate(cfg), start=1):
-        channels, blobs = corrupt(label, t, cfg)
+        corruption = corrupt(label, t, cfg)
         labels.append(label)
-        frames.append(channels)
-        blob_events.extend(blobs)
+        frames.append(corruption.channels())
+        blob_events.extend(corruption.blobs)
     print(f"scene: {cfg.frames} frames {cfg.height}x{cfg.width}, "
           f"{len(blob_events)} distractor blobs injected from frame 3 on")
 

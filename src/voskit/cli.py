@@ -31,13 +31,7 @@ import numpy as np
 # modules that it alone runs, so a stage starts without compiling the rest.
 from . import __version__, corpus
 from .boxes import attention_map, bbox_from_mask
-from .tracker import (
-    TRACK_CSV_HEADER,
-    TrackRow,
-    compose_label,
-    filter_stream,
-    track_csv_row,
-)
+from .tracker import TRACK_CSV_HEADER, TrackRow, filter_stream, track_csv_row
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -75,11 +69,20 @@ def _dump_json(data: dict, path) -> None:
 def cmd_synth(args) -> int:
     from . import synth
 
-    with open(args.scene) as fh:
-        try:
+    # A scene error names the scene file, whether parsing or rendering meets it.
+    try:
+        with open(args.scene) as fh:
             base = synth.scene_from_json(json.load(fh))
-        except (json.JSONDecodeError, UnicodeDecodeError, synth.SceneError) as exc:
-            raise synth.SceneError(f"{args.scene}: {exc}") from exc
+        _write_synth_corpus(base, args)
+    except (json.JSONDecodeError, UnicodeDecodeError, synth.SceneError) as exc:
+        raise synth.SceneError(f"{args.scene}: {exc}") from exc
+    print(f"wrote {args.sequences} sequence(s) to {args.out}")
+    return EXIT_OK
+
+
+def _write_synth_corpus(base, args) -> None:
+    from . import synth
+
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.sequences):
         cfg = dataclasses.replace(base, seed=base.seed + k)
@@ -93,10 +96,9 @@ def cmd_synth(args) -> int:
             track_log = csv.writer(fh)
             track_log.writerow(TRACK_CSV_HEADER)
             for t, (label, boxes, clipped_ids) in enumerate(synth.generate(cfg), start=1):
-                channels, _blobs = synth.corrupt(label, t, cfg)
                 name = corpus.frame_name(t)
                 corpus.write_pgm(os.path.join(gt_dir, name), label)
-                corpus.write_pgm(os.path.join(pred_dir, name), compose_label(channels, label.shape))
+                corpus.write_pgm(os.path.join(pred_dir, name), synth.corrupt(label, t, cfg).label())
                 track_log.writerows(
                     track_csv_row(TrackRow(frame=t, object_id=oid, box=boxes[oid], source="gt"))
                     for oid in sorted(boxes)
@@ -105,8 +107,6 @@ def cmd_synth(args) -> int:
         echo = synth.scene_to_json(cfg)
         echo["clipped"] = clipped
         _dump_json(echo, os.path.join(seq_dir, corpus.SCENE_NAME))
-    print(f"wrote {args.sequences} sequence(s) to {args.out}")
-    return EXIT_OK
 
 
 def _load_predictor(path):

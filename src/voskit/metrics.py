@@ -153,7 +153,8 @@ def evaluate_sequence(pred_seq, gt_seq) -> SequenceEval:
 
     Frame pairs are scored as they arrive and not kept, so generators stream
     the sequence one frame pair at a time. The objects of a frame are the
-    nonzero labels on either side. Sequence means are plain averages over
+    nonzero labels on either side; each is scored on the smallest box that
+    holds its pixels on both sides. Sequence means are plain averages over
     objects of per-object frame averages. Raises CorpusError when the
     sequences differ in length or a frame pair in dims.
     """
@@ -169,11 +170,20 @@ def evaluate_sequence(pred_seq, gt_seq) -> SequenceEval:
         p, g = np.asarray(p), np.asarray(g)
         if p.shape != g.shape:
             raise corpus.CorpusError(f"frame {index}: mask dims {p.shape} vs {g.shape}")
+        tol = contour_tolerance(p.shape)
         for object_id in corpus.label_ids((p, g)):
             pm = p == object_id
             gm = g == object_id
-            j = jaccard(pm, gm)
-            f = contour_f(pm, gm)
+            # J and F do not change under translation, and the smallest box
+            # holding both masks is bordered by background only, as the
+            # frame is by its edge: score that crop with the frame's radius.
+            union = pm | gm
+            ys = np.flatnonzero(union.any(axis=1))
+            rows = slice(ys[0], ys[-1] + 1)
+            xs = np.flatnonzero(union[rows].any(axis=0))
+            crop = rows, slice(xs[0], xs[-1] + 1)
+            j = jaccard(pm[crop], gm[crop])
+            f = contour_f(pm[crop], gm[crop], tol)
             out.rows.append(FrameScore(frame=index, object_id=object_id, j=j, f=f))
             per_object_j.setdefault(object_id, []).append(j)
             per_object_f.setdefault(object_id, []).append(f)

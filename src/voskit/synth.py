@@ -3,13 +3,18 @@
 ``generate`` renders a multi-object label sequence one frame at a time,
 together with each frame's analytic bounding boxes, so box-tracking code can
 be tested against zero-error ground truth. ``corrupt`` degrades one ground
-truth frame into per-object soft masks the way a real matching-based
-segmenter fails: boundary pixels flip with a small probability, and spurious
-far-field blobs (soft value 0.9) appear from frame 3 on, placed at least a
-configured distance from the true object. Frames 1 and 2 never receive
-blobs, so the first two boxes of every track are trustworthy. A consumer
-that handles each frame before asking for the next holds one frame in
-memory, whatever the sequence length.
+truth frame the way a real matching-based segmenter fails: boundary pixels
+flip with a small probability, and spurious far-field blobs (soft value 0.9)
+appear from frame 3 on, placed at least a configured distance from the true
+object. Frames 1 and 2 never receive blobs, so the first two boxes of every
+track are trustworthy. A consumer that handles each frame before asking for
+the next holds one frame in memory, whatever the sequence length.
+
+``corrupt`` returns the frame in crop form: each object's flipped pixels on
+its pixel bounds grown by one pixel, plus its blob boxes. ``Corruption.label``
+writes the corrupted uint8 label from that by priority, with no frame-sized
+float64 array; ``Corruption.channels`` expands it into per-object soft
+masks for in-memory filtering.
 
 All randomness flows from the scene seed through counter-based streams
 keyed by (frame, object), so output is bit-identical across platforms and
@@ -19,6 +24,7 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -30,7 +36,8 @@ from .rng import Rng
 BLOB_VALUE = 0.9
 BLOB_ATTEMPTS = 100
 # Largest frame height or width a scene may ask for; covers DAVIS full
-# resolution (3840x2160) and bounds a frame-sized float64 array at 128 MiB.
+# resolution (3840x2160) and bounds a uint8 label frame at 16 MiB. ``synth``
+# allocates no frame-sized float64 array; only ``Corruption.channels`` does.
 MAX_FRAME_SIDE = 4096
 
 
@@ -144,6 +151,9 @@ class SceneConfig:
         ids = [o.object_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise SceneError(f"duplicate object ids: {ids}")
+        hi = self.corruption.blob_size[1]
+        if self.corruption.blobs and (hi > self.width or hi > self.height):
+            raise SceneError(f"blob size {hi} exceeds frame {self.height}x{self.width}")
 
 
 def analytic_box(obj: ObjectSpec, t: int) -> BBox:
@@ -158,29 +168,25 @@ def analytic_box(obj: ObjectSpec, t: int) -> BBox:
     return BBox(x=x, y=y, w=obj.box.w, h=obj.box.h)
 
 
-def _pixel_bounds(box: BBox, height: int, width: int):
-    """Integer pixel span of a box clipped to the frame, plus a clip flag.
-    Returns None when nothing of the box is visible."""
-    x0 = int(np.rint(box.x))
-    y0 = int(np.rint(box.y))
-    w = int(np.rint(box.w))
-    h = int(np.rint(box.h))
-    cx0, cy0 = max(x0, 0), max(y0, 0)
-    cx1, cy1 = min(x0 + w, width), min(y0 + h, height)
-    if cx0 >= cx1 or cy0 >= cy1:
-        return None
-    clipped = (cx0, cy0, cx1, cy1) != (x0, y0, x0 + w, y0 + h)
-    return (cx0, cy0, cx1, cy1), clipped
+def _pixel_bounds(box: BBox, height: int, width: int, grow: int = 0):
+    """Integer pixel span (x0, y0, x1, y1) of a box, grown by grow pixels on
+    each side and clipped to the frame, plus a clip flag. The span is empty
+    (x0 >= x1 or y0 >= y1) when nothing of it is visible."""
+    x0 = int(np.rint(box.x)) - grow
+    y0 = int(np.rint(box.y)) - grow
+    x1 = x0 + int(np.rint(box.w)) + 2 * grow
+    y1 = y0 + int(np.rint(box.h)) + 2 * grow
+    span = (max(x0, 0), max(y0, 0), min(x1, width), min(y1, height))
+    return span, span != (x0, y0, x1, y1)
 
 
 def _render(frame: np.ndarray, obj: ObjectSpec, box: BBox) -> bool:
     height, width = frame.shape
-    bounds = _pixel_bounds(box, height, width)
-    if bounds is None:
+    (cx0, cy0, cx1, cy1), clipped = _pixel_bounds(box, height, width)
+    if cx0 >= cx1 or cy0 >= cy1:
         raise SceneError(
             f"object {obj.object_id} is fully outside the {height}x{width} frame at {box}"
         )
-    (cx0, cy0, cx1, cy1), clipped = bounds
     if obj.shape == "rectangle":
         frame[cy0:cy1, cx0:cx1] = obj.object_id
     else:
@@ -233,44 +239,90 @@ class BlobEvent:
     object_id: int
     box: BBox
 
+    @property
+    def window(self) -> tuple[slice, slice]:
+        x0, y0 = int(self.box.x), int(self.box.y)
+        return slice(y0, y0 + int(self.box.h)), slice(x0, x0 + int(self.box.w))
 
-def corrupt(label: np.ndarray, t: int, cfg: SceneConfig):
-    """Degrade frame t (1-based) of a generated sequence into per-object
-    soft channels.
 
-    Returns (channels, blob_events): channels maps each object id to its
-    float64 soft mask; blob_events records the frame's injected blobs so
-    tests can assert their removal. Deterministic in (cfg.seed, t).
+@dataclass(frozen=True)
+class ObjectCrop:
+    """One object's value-1 pixels after boundary flips: ``mask`` covers the
+    frame ``window``, the object's pixel bounds grown by one pixel, which
+    holds its whole flip band."""
+
+    object_id: int
+    window: tuple[slice, slice]
+    mask: np.ndarray
+
+
+@dataclass(frozen=True)
+class Corruption:
+    """One corrupted frame in crop form: per-object crops in scene order and
+    the frame's blob events, each blob a box of soft value BLOB_VALUE on its
+    object's channel."""
+
+    shape: tuple[int, int]
+    crops: list[ObjectCrop]
+    blobs: list[BlobEvent]
+
+    def label(self) -> np.ndarray:
+        """The uint8 label ``compose_label(self.channels(), self.shape)``
+        composes at threshold 0.5, written by priority instead: blob boxes
+        in descending id order, then object pixels in descending id order.
+        A value of 1 beats a blob's 0.9, and on a tie the smaller id, painted
+        last, wins."""
+        label = np.zeros(self.shape, dtype=np.uint8)
+        for event in sorted(self.blobs, key=lambda e: e.object_id, reverse=True):
+            label[event.window] = event.object_id
+        for crop in sorted(self.crops, key=lambda c: c.object_id, reverse=True):
+            label[crop.window][crop.mask] = crop.object_id
+        return label
+
+    def channels(self) -> dict[int, np.ndarray]:
+        """Per-object float64 soft masks of the frame, in scene order: 1 on
+        an object's pixels, BLOB_VALUE elsewhere on its blobs, 0 otherwise."""
+        channels: dict[int, np.ndarray] = {}
+        for crop in self.crops:
+            channel = channels[crop.object_id] = np.zeros(self.shape)
+            channel[crop.window][crop.mask] = 1.0
+        for event in self.blobs:
+            patch = channels[event.object_id][event.window]
+            np.maximum(patch, BLOB_VALUE, out=patch)
+        return channels
+
+
+def corrupt(label: np.ndarray, t: int, cfg: SceneConfig) -> Corruption:
+    """Degrade frame t (1-based) of a generated sequence, in crop form.
+
+    Each object's flips are drawn on its pixel bounds grown by one pixel:
+    the band's row-major order there is the frame's, so the crop draws flip
+    the same pixels a whole-frame pass would. Deterministic in
+    (cfg.seed, t).
     """
     spec = cfg.corruption
-    hi = spec.blob_size[1]
-    if hi > cfg.width or hi > cfg.height:
-        raise SceneError(f"blob size {hi} exceeds frame {cfg.height}x{cfg.width}")
     base = Rng(cfg.seed).spawn(t)
-    channels: dict[int, np.ndarray] = {}
+    crops: list[ObjectCrop] = []
     blob_events: list[BlobEvent] = []
     for obj in cfg.objects:
-        fg = label == obj.object_id
-        channel = fg.astype(np.float64)
+        true_box = analytic_box(obj, t)
+        (x0, y0, x1, y1), _ = _pixel_bounds(true_box, cfg.height, cfg.width, grow=1)
+        window = np.s_[y0:y1, x0:x1]
+        fg = label[window] == obj.object_id
         rng = base.spawn(obj.object_id)
         if spec.flip_prob > 0.0:
             band = np.flatnonzero(_flip_band(fg))
             if band.size:
                 draws = rng.uniform(band.size)
                 hits = band[draws < spec.flip_prob]
-                flat = channel.reshape(-1)
-                flat[hits] = 1.0 - flat[hits]
-        if t >= 3 and spec.blobs > 0:
-            true_box = analytic_box(obj, t)
+                flat = fg.reshape(-1)
+                flat[hits] = ~flat[hits]
+        crops.append(ObjectCrop(obj.object_id, window, fg))
+        if t >= 3:
             for _ in range(spec.blobs):
                 blob = _place_blob(rng, cfg, true_box)
-                x0, y0 = int(blob.x), int(blob.y)
-                x1, y1 = x0 + int(blob.w), y0 + int(blob.h)
-                patch = channel[y0:y1, x0:x1]
-                np.maximum(patch, BLOB_VALUE, out=patch)
                 blob_events.append(BlobEvent(frame=t, object_id=obj.object_id, box=blob))
-        channels[obj.object_id] = channel
-    return channels, blob_events
+    return Corruption(shape=label.shape, crops=crops, blobs=blob_events)
 
 
 def _place_blob(rng: Rng, cfg: SceneConfig, true_box: BBox) -> BBox:
@@ -305,15 +357,37 @@ def _section(value, context: str, known=None) -> dict:
     return value
 
 
-def _present(data: dict, convert: dict) -> dict:
+def _present(data: dict, convert: dict, context: str) -> dict:
     """Keyword arguments from the keys of data that convert names, each
-    converted; a key left out leaves its field's default to the dataclass."""
-    return {key: fn(data[key]) for key, fn in convert.items() if key in data}
+    converted; a key left out leaves its field's default to the dataclass.
+    A value that does not convert raises SceneError naming its key."""
+    kwargs = {}
+    for key, fn in convert.items():
+        if key in data:
+            try:
+                kwargs[key] = fn(data[key])
+            except SceneError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SceneError(f"{context}: {key}: {exc}") from exc
+    return kwargs
 
 
-def _pair(value, convert) -> tuple:
-    a, b = value
-    return convert(a), convert(b)
+def _integer(value) -> int:
+    """A JSON number with no fractional part; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected an integer, got {value!r}")
+    integer = int(value)
+    if integer != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return integer
+
+
+def _numbers(value, count: int = 2, convert=float) -> tuple:
+    """A JSON list of count numbers, each converted."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ValueError(f"expected a list of {count} numbers, got {value!r}")
+    return tuple(convert(v) for v in value)
 
 
 # Motion kind -> its class and, for each JSON key, the fields it fills: a
@@ -331,11 +405,12 @@ def _motion_from_json(data, context: str) -> object:
         raise SceneError(f"unknown motion kind {kind!r}")
     cls, keys = _MOTIONS[kind]
     _section(data, f"motion ({kind})", {"kind", *keys})
+    convert = {
+        key: _numbers if len(names) == 2 else lambda v: (float(v),) for key, names in keys.items()
+    }
     kwargs = {}
-    for key, names in keys.items():
-        if key in data:
-            values = _pair(data[key], float) if len(names) == 2 else (float(data[key]),)
-            kwargs.update(zip(names, values))
+    for key, values in _present(data, convert, context).items():
+        kwargs.update(zip(keys[key], values))
     return cls(**kwargs)
 
 
@@ -354,9 +429,11 @@ def scene_from_json(data: dict) -> SceneConfig:
     """Build a config from parsed JSON; a key left out takes its dataclass
     field's default. Malformed input raises SceneError: unknown keys (so
     typos fail loudly), a section that is not a JSON object, and a value
-    that does not convert (a number JSON reads as infinity, say)."""
+    that does not convert, named by its key: a number JSON reads as
+    infinity, a boolean or non-integral number for an integer key, or a
+    list of the wrong length, say."""
     convert = {
-        **dict.fromkeys(("height", "width", "frames", "seed"), int),
+        **dict.fromkeys(("height", "width", "frames", "seed"), _integer),
         "objects": lambda objects: tuple(_object_from_json(o, i) for i, o in enumerate(objects)),
         "corruption": _corruption_from_json,
     }
@@ -364,7 +441,7 @@ def scene_from_json(data: dict) -> SceneConfig:
         _section(data, "scene", convert)
         for key in ("height", "width", "frames", "objects"):
             _require(data, key, "scene")
-        return SceneConfig(**_present(data, convert))
+        return SceneConfig(**_present(data, convert, "scene"))
     except SceneError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -373,23 +450,25 @@ def scene_from_json(data: dict) -> SceneConfig:
 
 def _object_from_json(data, i: int) -> ObjectSpec:
     context = f"object {i}"
-    convert = {"shape": str, "motion": lambda motion: _motion_from_json(motion, f"{context} motion")}
-    x, y, w, h = _require(_section(data, context, {"id", "box", *convert}), "box", context)
-    return ObjectSpec(
-        object_id=int(data.get("id", i + 1)),
-        box=BBox(x=float(x), y=float(y), w=float(w), h=float(h)),
-        **_present(data, convert),
-    )
+    convert = {
+        "id": _integer,
+        "box": lambda box: BBox(*_numbers(box, 4)),
+        "shape": str,
+        "motion": lambda motion: _motion_from_json(motion, f"{context} motion"),
+    }
+    _require(_section(data, context, convert), "box", context)
+    kwargs = _present(data, convert, context)
+    return ObjectSpec(object_id=kwargs.pop("id", i + 1), **kwargs)
 
 
 def _corruption_from_json(data) -> CorruptionSpec:
     convert = {
-        "blobs": int,
-        "blob_size": lambda size: _pair(size, int),
+        "blobs": _integer,
+        "blob_size": lambda size: _numbers(size, 2, _integer),
         "min_distance": float,
         "flip_prob": float,
     }
-    return CorruptionSpec(**_present(_section(data, "corruption", convert), convert))
+    return CorruptionSpec(**_present(_section(data, "corruption", convert), convert, "corruption"))
 
 
 def scene_to_json(cfg: SceneConfig) -> dict:

@@ -164,12 +164,12 @@ def test_criterion_3_cv_oracle_and_filter_lift():
         cfg = cv_oracle_scene(1000 + k)
         labels, boxes, clips, frames, blob_events = [], [], [], [], []
         for t, (label, frame_boxes, clipped_ids) in enumerate(generate(cfg), start=1):
-            channels, blobs = corrupt(label, t, cfg)
+            corruption = corrupt(label, t, cfg)
             labels.append(label)
             boxes.append(frame_boxes[1])
             clips.extend(clipped_ids)
-            frames.append(channels)
-            blob_events.extend(blobs)
+            frames.append(corruption.channels())
+            blob_events.extend(corruption.blobs)
         assert not clips, "oracle scenes must stay fully inside the frame"
 
         for t in range(2, len(boxes)):

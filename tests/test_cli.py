@@ -131,6 +131,31 @@ def test_synth_oversized_frame_exits_2_before_rendering(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("scene", "message", "parsed"),
+    [
+        # found while frame 1 is rendered
+        (
+            dict(SCENE, width=1, corruption={}, objects=[{"box": [20, 5, 4, 4]}]),
+            "object 1 is fully outside the 60x1 frame",
+            True,
+        ),
+        # found while the scene is parsed, before any output is made
+        (
+            dict(SCENE, corruption=dict(SCENE["corruption"], blob_size=[8, 600])),
+            "blob size 600 exceeds frame 60x90",
+            False,
+        ),
+    ],
+)
+def test_synth_scene_error_names_the_scene_file(tmp_path, capsys, scene, message, parsed):
+    path = write_scene(tmp_path, scene)
+    assert run(["synth", path, tmp_path / "out"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err, err
+    assert (tmp_path / "out").exists() == parsed
+
+
 def test_synth_missing_scene_file_exits_2(tmp_path):
     assert run(["synth", tmp_path / "nope.json", tmp_path / "out"]) == EXIT_INPUT
 
@@ -140,8 +165,10 @@ def test_synth_object_leaving_mid_sequence_exits_2_after_earlier_frames(tmp_path
     leaving = {"id": 1, "box": [70, 20, 6, 6], "motion": {"kind": "linear", "v": [12, 0]}}
     scene = dict(SCENE, objects=[leaving])
     out = tmp_path / "out"
-    assert run(["synth", write_scene(tmp_path, scene), out]) == EXIT_INPUT
-    assert "fully outside" in capsys.readouterr().err
+    path = write_scene(tmp_path, scene)
+    assert run(["synth", path, out]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "fully outside" in err
     seq = out / "seq0000"
     # frames are written as they are made, so the two before the error stay
     assert sorted(os.listdir(seq / "masks_gt")) == ["00001.pgm", "00002.pgm"]

@@ -433,6 +433,60 @@ def test_streaming_evaluate_sequence_equals_whole_sequence_reference(pair):
     assert (ev.mean_j, ev.mean_f) == (ref.mean_j, ref.mean_f)
 
 
+@st.composite
+def sparse_label_pairs(draw):
+    """One prediction and one ground-truth frame up to 300x400 holding a few
+    small objects, each on both sides (the prediction shifted by up to 4
+    px) or on one side only, and often touching a frame edge. At 300x400
+    the contour tolerance is 4 px, wider than the crop of a 1x1 object."""
+    height, width = draw(st.integers(1, 300)), draw(st.integers(1, 400))
+    pred = np.zeros((height, width), np.uint8)
+    gt = np.zeros((height, width), np.uint8)
+    for _ in range(draw(st.integers(1, 3))):
+        oid = draw(st.sampled_from([1, 2, 7]))
+        h, w = draw(st.integers(1, min(6, height))), draw(st.integers(1, min(6, width)))
+        patch = draw(hnp.arrays(bool, (h, w)))
+        y = draw(st.sampled_from([0, height - h]) | st.integers(0, height - h))
+        x = draw(st.sampled_from([0, width - w]) | st.integers(0, width - w))
+        dy, dx = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        py, px = min(max(y + dy, 0), height - h), min(max(x + dx, 0), width - w)
+        sides = draw(st.sampled_from(["both", "both", "pred", "gt"]))
+        if sides != "pred":
+            gt[y : y + h, x : x + w][patch] = oid
+        if sides != "gt":
+            pred[py : py + h, px : px + w][patch] = oid
+    return [pred], [gt]
+
+
+def _corner_pairs(shape, side, offset):
+    """A side x side square in each corner of gt, so each object touches two
+    frame edges; the prediction holds it offset px inward, or not at all."""
+    height, width = shape
+    corners = [(0, 0), (0, width - side), (height - side, 0), (height - side, width - side)]
+    pred = np.zeros(shape, np.uint8)
+    gt = np.zeros(shape, np.uint8)
+    for oid, (y, x) in enumerate(corners, start=1):
+        gt[y : y + side, x : x + side] = oid
+        if oid != 4:
+            py = y + offset if y == 0 else y - offset
+            px = x + offset if x == 0 else x - offset
+            pred[py : py + side, px : px + side] = oid
+    return [pred], [gt]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_label_pairs())
+@example(_corner_pairs((300, 400), 1, 3))  # tolerance 4 > 1x1 object, shift 3
+@example(_corner_pairs((300, 400), 5, 4))
+@example(_corner_pairs((7, 9), 2, 1))
+def test_object_crop_scores_equal_whole_frame_reference(pair):
+    pred, gt = pair
+    ev = evaluate_sequence(pred, gt)
+    ref = reference_evaluate_sequence(pred, gt)
+    assert ev.rows == ref.rows
+    assert (ev.mean_j, ev.mean_f) == (ref.mean_j, ref.mean_f)
+
+
 def test_evaluate_sequence_streams_in_constant_memory():
     # One square drifting right on 240x427 frames, the prediction a pixel
     # behind; frames are made on demand, so only the scorer can hold them.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
+from synth_reference import corrupt as reference_corrupt
 
 from voskit.boxes import BBox
 from voskit.metrics import boundary_pixels, erode, jaccard
@@ -27,6 +29,7 @@ from voskit.synth import (
     scene_from_json,
     scene_to_json,
 )
+from voskit.tracker import compose_label
 
 
 def generate_all(cfg):
@@ -45,12 +48,12 @@ def generate_all(cfg):
 
 def corrupt_all(labels, cfg):
     """List-building reference over the per-frame ``corrupt``: every frame's
-    channel dict and all blob events of the sequence."""
+    soft channel dict and all blob events of the sequence."""
     frames, events = [], []
     for t, label in enumerate(labels, start=1):
-        channels, blobs = corrupt(label, t, cfg)
-        frames.append(channels)
-        events.extend(blobs)
+        corruption = corrupt(label, t, cfg)
+        frames.append(corruption.channels())
+        events.extend(corruption.blobs)
     return frames, events
 
 
@@ -361,11 +364,13 @@ def test_corrupt_impossible_blob_placement_raises():
         corrupt_all(labels, cfg)
 
 
-def test_corrupt_rejects_oversized_blob():
-    cfg = simple_scene(corruption=CorruptionSpec(blobs=1, blob_size=(8, 500)))
-    labels, _, _ = generate_all(cfg)
-    with pytest.raises(SceneError):
-        corrupt_all(labels, cfg)
+def test_scene_rejects_blob_larger_than_frame():
+    for size in ((8, 91), (8, 61)):
+        with pytest.raises(SceneError, match=f"blob size {size[1]} exceeds frame 60x90"):
+            simple_scene(corruption=CorruptionSpec(blobs=1, blob_size=size))
+    # the size of blobs never drawn does not matter
+    assert simple_scene(corruption=CorruptionSpec(blobs=0, blob_size=(8, 500))).width == 90
+    assert simple_scene(corruption=CorruptionSpec(blobs=1, blob_size=(8, 60))).height == 60
 
 
 def reference_flip_band(indicator: np.ndarray) -> np.ndarray:
@@ -396,6 +401,123 @@ def test_flip_band_equals_shifted_copy_reference(fg):
     assert np.array_equal(boundary_pixels(fg), band & fg)
 
 
+def assert_corrupt_matches_reference(cfg):
+    """Every frame's crop form equals the whole-frame reference: the same
+    blob events, the same soft channels once expanded, and the label that
+    ``compose_label`` takes from the reference channels."""
+    for t, (label, _boxes, _clipped) in enumerate(generate(cfg), start=1):
+        try:
+            ref_channels, ref_blobs = reference_corrupt(label, t, cfg)
+        except SceneError as exc:
+            with pytest.raises(SceneError, match=re.escape(str(exc))):
+                corrupt(label, t, cfg)
+            return
+        corruption = corrupt(label, t, cfg)
+        assert corruption.blobs == ref_blobs
+        channels = corruption.channels()
+        assert list(channels) == list(ref_channels)
+        for oid, channel in channels.items():
+            assert np.array_equal(channel, ref_channels[oid]), (t, oid)
+        assert np.array_equal(corruption.label(), compose_label(ref_channels, label.shape)), t
+
+
+def edge_scene(flip_prob):
+    """Objects clipped at each frame edge, two of them overlapping others,
+    and blobs allowed anywhere, so they land on other objects too."""
+    return SceneConfig(
+        height=40,
+        width=50,
+        frames=6,
+        seed=3,
+        objects=(
+            ObjectSpec(9, BBox(-4, 10, 12, 9)),  # left edge
+            ObjectSpec(4, BBox(43, 12, 10, 8), shape="ellipse"),  # right edge
+            ObjectSpec(6, BBox(18, -3, 9, 8), shape="ellipse"),  # top edge
+            ObjectSpec(2, BBox(20, 35, 14, 9)),  # bottom edge
+            ObjectSpec(3, BBox(4, 14, 10, 10), shape="ellipse"),  # over 9
+            ObjectSpec(7, BBox(22, 3, 12, 10)),  # over 6
+        ),
+        corruption=CorruptionSpec(blobs=2, blob_size=(10, 20), min_distance=0.0, flip_prob=flip_prob),
+    )
+
+
+@pytest.mark.parametrize("flip_prob", [0.0, 0.3, 1.0])
+def test_corrupt_crops_equal_whole_frame_reference_at_edges_and_overlaps(flip_prob):
+    cfg = edge_scene(flip_prob)
+    labels, _, clips = generate_all(cfg)
+    assert {oid for _, oid in clips} == {9, 4, 6, 2}
+    by_id = {o.object_id: o for o in cfg.objects}
+    for under, over in ((9, 3), (6, 7)):
+        alone = next(generate(dataclasses.replace(cfg, objects=(by_id[under],))))[0]
+        assert (labels[0][alone == under] == over).any()
+    # some blob lies on another object's pixels
+    _, events = corrupt_all(labels, cfg)
+    patches = [labels[e.frame - 1][e.window] for e in events]
+    assert any(((p != 0) & (p != e.object_id)).any() for p, e in zip(patches, events))
+    assert_corrupt_matches_reference(cfg)
+
+
+@st.composite
+def corrupt_scenes(draw):
+    height = draw(st.integers(3, 24))
+    width = draw(st.integers(3, 24))
+    ids = draw(st.lists(st.integers(1, 255), min_size=1, max_size=3, unique=True))
+    objects = []
+    for oid in ids:
+        w = draw(st.integers(1, width + 2))
+        h = draw(st.integers(1, height + 2))
+        # at least one pixel column and row of the box is inside the frame
+        x = draw(st.integers(1 - w, width - 1))
+        y = draw(st.integers(1 - h, height - 1))
+        shape = draw(st.sampled_from(["rectangle", "ellipse"]))
+        objects.append(ObjectSpec(oid, BBox(x, y, w, h), shape=shape))
+    side = min(height, width)
+    lo = draw(st.integers(1, side))
+    corruption = CorruptionSpec(
+        blobs=draw(st.integers(0, 2)),
+        blob_size=(lo, draw(st.integers(lo, side))),
+        min_distance=draw(st.sampled_from([0.0, 2.0, 6.0])),
+        flip_prob=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+    )
+    seed = draw(st.integers(0, 2**32))
+    return SceneConfig(height, width, 3, seed, tuple(objects), corruption)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupt_scenes())
+def test_corrupt_crops_equal_whole_frame_reference(cfg):
+    assert_corrupt_matches_reference(cfg)
+
+
+def test_one_480p_frame_allocates_less_than_a_float64_frame():
+    cfg = SceneConfig(
+        height=480,
+        width=854,
+        frames=3,
+        seed=4,
+        objects=(
+            ObjectSpec(1, BBox(120, 100, 60, 40), motion=LinearMotion(4, 2)),
+            ObjectSpec(2, BBox(500, 260, 70, 50), shape="ellipse", motion=AcceleratingMotion(-3, 1, 1, 0)),
+        ),
+        corruption=CorruptionSpec(blobs=2, blob_size=(30, 50), min_distance=60.0, flip_prob=0.02),
+    )
+    frames = enumerate(generate(cfg), start=1)
+    for _ in range(2):
+        next(frames)
+    # frame 3 is the first with blobs
+    tracemalloc.start()
+    try:
+        t, (label, _boxes, _clipped) = next(frames)
+        corruption = corrupt(label, t, cfg)
+        corruption.label()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corruption.blobs) == 4
+    float64_frame = 480 * 854 * np.dtype(np.float64).itemsize
+    assert peak < float64_frame, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_generate_and_corrupt_stream_in_constant_memory():
     base = SceneConfig(
         height=240,
@@ -416,8 +538,9 @@ def test_generate_and_corrupt_stream_in_constant_memory():
         tracemalloc.start()
         consumed = 0
         for t, (label, _boxes, _clipped) in enumerate(generate(cfg), start=1):
-            channels, blobs = corrupt(label, t, cfg)
-            consumed += len(channels) + len(blobs)
+            corruption = corrupt(label, t, cfg)
+            corruption.label()
+            consumed += len(corruption.crops) + len(corruption.blobs)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert consumed == 2 * n + 4 * (n - 2)
@@ -541,18 +664,18 @@ def test_scene_json_echo_of_omitted_keys_matches_golden(corruption):
 
 
 def test_scene_json_echo_converts_each_value():
-    # ints truncate, floats echo with a point, JSON true is the int 1
+    # integral floats echo as ints, ints given for floats echo with a point
     data = {
         "height": 24.0,
         "width": 40,
-        "frames": 3.9,
-        "seed": True,
+        "frames": 3.0,
+        "seed": 1,
         "objects": [
-            {"id": 5.5, "box": [2, 3, 6, 4], "motion": {"v": [1, 2]}},
+            {"id": 5.0, "box": [2, 3, 6, 4], "motion": {"v": [1, 2]}},
             {"box": [20, 2, 8, 6], "motion": {"kind": "accelerating", "a": [1, -1]}},
             {"box": [4, 14, 5, 5], "motion": {"kind": "sinusoidal", "amplitude": [3, 0], "period": 10}},
         ],
-        "corruption": {"blobs": 2.7, "blob_size": [2.9, 4.0], "min_distance": 3, "flip_prob": 0},
+        "corruption": {"blobs": 2, "blob_size": [2.0, 4.0], "min_distance": 3, "flip_prob": 0},
     }
     expected = {
         "height": 24,
@@ -582,6 +705,35 @@ def test_scene_json_echo_converts_each_value():
         "corruption": {"blobs": 2, "blob_size": [2, 4], "min_distance": 3.0, "flip_prob": 0.0},
     }
     assert echo_text(data) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    ("path", "value", "message"),
+    [
+        (("frames",), 3.9, "scene: frames: expected an integer, got 3.9"),
+        (("seed",), True, "scene: seed: expected an integer, got True"),
+        (("height",), "24", "scene: height: expected an integer, got '24'"),
+        (("objects", 0, "id"), 5.5, "object 0: id: expected an integer, got 5.5"),
+        (("objects", 1, "id"), False, "object 1: id: expected an integer, got False"),
+        (("corruption", "blobs"), 2.7, "corruption: blobs: expected an integer, got 2.7"),
+        (("corruption", "blob_size"), [2.9, 4.0], "corruption: blob_size: expected an integer, got 2.9"),
+        (("corruption", "blob_size"), [8], r"corruption: blob_size: expected a list of 2 numbers, got \[8\]"),
+        (("objects", 0, "box"), [5, 10, 12], "object 0: box: expected a list of 4 numbers"),
+        (("objects", 0, "box"), 5, "object 0: box: expected a list of 4 numbers, got 5"),
+        (("objects", 0, "motion", "v"), [1, 2, 3], "object 0 motion: v: expected a list of 2 numbers"),
+        (("objects", 1, "motion", "a"), [1], "object 1 motion: a: expected a list of 2 numbers"),
+        (("objects", 1, "motion", "v"), {"x": 1}, "object 1 motion: v: expected a list of 2 numbers"),
+        (("objects",), 3, "scene: objects: 'int' object is not iterable"),
+    ],
+)
+def test_scene_json_rejects_a_value_of_the_wrong_type_naming_its_key(path, value, message):
+    data = scene_json()
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(SceneError, match=f"^{message}"):
+        scene_from_json(data)
 
 
 def test_scene_json_sinusoidal_motion():
