@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_BOX_SIZE = 1.0
+# Soft-mask pixels above this are foreground, in boxes and composed labels.
+MASK_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,13 @@ def apply_motion(box: BBox, motion: Motion) -> BBox:
     )
 
 
-def bbox_from_mask(mask: np.ndarray, threshold: float = 0.5) -> BBox | None:
-    """Tightest box covering the pixels with ``value > threshold`` (a
+def bbox_from_mask(mask: np.ndarray) -> BBox | None:
+    """Tightest box covering the pixels with ``value > MASK_THRESHOLD`` (a
     boolean mask counts as 0/1), or None when there are none."""
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    sel = m > threshold
+    sel = m > MASK_THRESHOLD
     rows = np.flatnonzero(sel.any(axis=1))
     if rows.size == 0:
         return None
@@ -111,10 +113,3 @@ def attention_map(
     if r0 < r1 and c0 < c1:
         out[r0:r1, c0:c1] = 1
     return out
-
-
-def filter_mask(am: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Gate a soft mask with a binary attention map (elementwise product)."""
-    if am.shape != mask.shape:
-        raise ValueError(f"attention map shape {am.shape} != mask shape {mask.shape}")
-    return mask * am

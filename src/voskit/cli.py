@@ -141,11 +141,8 @@ def cmd_filter(args) -> int:
                 # Nothing to track; copy frames through and leave an empty log.
                 corpus.write_mask_dir(pred_out, corpus.iter_mask_dir(mask_dir))
                 continue
-            frames = (
-                corpus.channels_from_labels(frame, id_list)
-                for frame in corpus.iter_mask_dir(mask_dir)
-            )
-            for out in filter_stream(frames, model, args.margin, args.threshold):
+            frames = ({i: frame == i for i in id_list} for frame in corpus.iter_mask_dir(mask_dir))
+            for out in filter_stream(frames, model, args.margin):
                 corpus.write_pgm(
                     os.path.join(pred_out, corpus.frame_name(out.frame)), out.label
                 )
@@ -261,15 +258,14 @@ def cmd_transplant(args) -> int:
     return EXIT_OK
 
 
-def _at_least(kind, low, below=math.inf):
-    """argparse type for a finite ``kind`` number >= low and < below;
-    argparse rejects anything else with exit code 2."""
+def _at_least(kind, low):
+    """argparse type for a finite ``kind`` number >= low; argparse rejects
+    anything else with exit code 2."""
 
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and low <= value < below):
-            bounds = f">= {low}" if below == math.inf else f">= {low} and < {below}"
-            raise argparse.ArgumentTypeError(f"must be a finite number {bounds}, got {text}")
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
         return value
 
     # argparse names the type in its "invalid int value" message.
@@ -301,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="TVCK weights for the pt variant")
     p.add_argument(
         "--margin", type=_at_least(float, 0.0), default=0.1, help="box expansion fraction"
-    )
-    p.add_argument(
-        "--threshold", type=_at_least(float, 0.0, 1.0), default=0.5, help="mask binarization threshold"
     )
     p.add_argument("--dump-overlay", action="store_true", help="write attention-map PGMs")
     p.set_defaults(func=cmd_filter)

@@ -173,9 +173,3 @@ def label_ids(frames) -> list[int]:
     for frame in frames:
         ids.update(np.flatnonzero(np.bincount(frame[frame != 0], minlength=256)).tolist())
     return sorted(ids)
-
-
-def channels_from_labels(frame: np.ndarray, ids) -> dict[int, np.ndarray]:
-    """Per-object boolean indicator channels for a label frame. Every id in
-    ids gets a channel, all False when absent from the frame."""
-    return {i: frame == i for i in ids}

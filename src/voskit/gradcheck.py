@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .motion_mlp import gelu, gelu_grad, init_params, mlp_backward, mlp_forward
+from .motion_mlp import LAYER_SIZES, gelu, gelu_grad, mlp_backward, mlp_forward
 from .rng import Rng
 
 FD_EPS = 1e-5
@@ -113,16 +113,13 @@ def check_gelu(seed: int, size: int) -> float:
 def _randomized_params(seed: int):
     """He-style random weights in every layer (the zero output layer of a
     fresh model would make upstream gradients vanish identically)."""
-    params = init_params(seed)
     rng = Rng(seed ^ 0x5EED)
-    for i, layer in enumerate(params):
+    params = []
+    for i, (fan_in, fan_out) in enumerate(zip(LAYER_SIZES, LAYER_SIZES[1:])):
         r = rng.spawn(i)
-        fan_in = layer["weight"].shape[0]
         bound = np.sqrt(6.0 / fan_in)
-        layer["weight"] = r.uniform_range(-bound, bound, layer["weight"].size).reshape(
-            layer["weight"].shape
-        )
-        layer["bias"] = r.uniform_range(-0.1, 0.1, layer["bias"].size)
+        weight = r.uniform_range(-bound, bound, fan_in * fan_out).reshape(fan_in, fan_out)
+        params.append({"weight": weight, "bias": r.uniform_range(-0.1, 0.1, fan_out)})
     return params
 
 

@@ -268,7 +268,7 @@ class Corruption:
 
     def label(self) -> np.ndarray:
         """The uint8 label ``compose_label(self.channels(), self.shape)``
-        composes at threshold 0.5, written by priority instead: blob boxes
+        composes at MASK_THRESHOLD, written by priority instead: blob boxes
         in descending id order, then object pixels in descending id order.
         A value of 1 beats a blob's 0.9, and on a tie the smaller id, painted
         last, wins."""
@@ -383,7 +383,17 @@ def _integer(value) -> int:
     return integer
 
 
-def _numbers(value, count: int = 2, convert=float) -> tuple:
+def _real(value) -> float:
+    """A finite JSON number; a boolean, a string or a NaN is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    real = float(value)
+    if not math.isfinite(real):
+        raise ValueError(f"must be finite, got {value!r}")
+    return real
+
+
+def _numbers(value, count: int = 2, convert=_real) -> tuple:
     """A JSON list of count numbers, each converted."""
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise ValueError(f"expected a list of {count} numbers, got {value!r}")
@@ -406,7 +416,7 @@ def _motion_from_json(data, context: str) -> object:
     cls, keys = _MOTIONS[kind]
     _section(data, f"motion ({kind})", {"kind", *keys})
     convert = {
-        key: _numbers if len(names) == 2 else lambda v: (float(v),) for key, names in keys.items()
+        key: _numbers if len(names) == 2 else lambda v: (_real(v),) for key, names in keys.items()
     }
     kwargs = {}
     for key, values in _present(data, convert, context).items():
@@ -429,9 +439,9 @@ def scene_from_json(data: dict) -> SceneConfig:
     """Build a config from parsed JSON; a key left out takes its dataclass
     field's default. Malformed input raises SceneError: unknown keys (so
     typos fail loudly), a section that is not a JSON object, and a value
-    that does not convert, named by its key: a number JSON reads as
-    infinity, a boolean or non-integral number for an integer key, or a
-    list of the wrong length, say."""
+    that does not convert, named by its key: a string, a boolean, or a
+    number JSON reads as NaN or infinity for any number key, a non-integral
+    number for an integer key, or a list of the wrong length, say."""
     convert = {
         **dict.fromkeys(("height", "width", "frames", "seed"), _integer),
         "objects": lambda objects: tuple(_object_from_json(o, i) for i, o in enumerate(objects)),
@@ -465,8 +475,8 @@ def _corruption_from_json(data) -> CorruptionSpec:
     convert = {
         "blobs": _integer,
         "blob_size": lambda size: _numbers(size, 2, _integer),
-        "min_distance": float,
-        "flip_prob": float,
+        "min_distance": _real,
+        "flip_prob": _real,
     }
     return CorruptionSpec(**_present(_section(data, "corruption", convert), convert, "corruption"))
 

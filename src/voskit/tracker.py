@@ -4,7 +4,8 @@ Each object's bounding box is tracked through the video; a box is predicted
 for the coming frame from the motion between the two previous boxes, turned
 into a binary attention gate, and multiplied into the object's predicted
 soft mask. The box is then reinitialized from the filtered mask, so the
-track follows what survives the gate.
+track follows what survives the gate. Masks are binarized at
+``boxes.MASK_THRESHOLD``, both into boxes and into the composed label.
 
 Frames are dicts mapping object id -> soft mask (H x W finite values in
 [0, 1]; a boolean mask counts as 0/1); an object missing from a frame is
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BBox, apply_motion, attention_map, bbox_from_mask, box_delta, filter_mask
+from .boxes import MASK_THRESHOLD, BBox, apply_motion, attention_map, bbox_from_mask, box_delta
 
 SOURCE_WARMUP = "warmup"
 SOURCE_CV = "cv"
@@ -40,7 +41,7 @@ TRACK_CSV_HEADER = ["frame", "object_id", "x", "y", "w", "h", "source"]
 @dataclass(frozen=True)
 class TrackRow:
     """One (frame, object) entry of the track log. box is None when the
-    object had no pixels above threshold that frame; gate is the predicted
+    object had no pixels above MASK_THRESHOLD that frame; gate is the predicted
     box the mask was gated with, None on warm-up and fallback rows."""
 
     frame: int
@@ -52,22 +53,19 @@ class TrackRow:
 
 @dataclass
 class FilteredFrame:
-    """Per-frame output: gated soft channels, the composed label mask, and
-    the track rows produced for this frame."""
+    """Per-frame output: the label mask composed from the gated channels,
+    and the track rows produced for this frame."""
 
     frame: int
-    channels: dict[int, np.ndarray]
     label: np.ndarray
     rows: list[TrackRow] = field(default_factory=list)
 
 
-def compose_label(
-    channels: dict[int, np.ndarray], shape: tuple[int, int], threshold: float = 0.5
-) -> np.ndarray:
+def compose_label(channels: dict[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
     """Argmax composition of soft channels into an integer label mask.
 
     A pixel takes the id of its largest channel when that value exceeds
-    threshold, and is background (0) otherwise; among tied objects the
+    MASK_THRESHOLD, and is background (0) otherwise; among tied objects the
     smallest id wins. Computed with a running max instead of a stacked
     argmax: the winner is the first channel attaining the max.
     """
@@ -81,7 +79,7 @@ def compose_label(
         better = ch > best
         best = np.where(better, ch, best)
         label[better] = oid
-    label[best <= threshold] = 0
+    label[best <= MASK_THRESHOLD] = 0
     return label
 
 
@@ -89,14 +87,13 @@ def filter_stream(
     frames: Iterable[dict[int, np.ndarray]],
     model=None,
     margin_frac: float = 0.1,
-    threshold: float = 0.5,
 ) -> Iterator[FilteredFrame]:
     """Filter a sequence of per-object soft-mask frames, streaming.
 
     Without a model the tracker repeats the last motion ("cv"); with one it
     maps the last motion through ``model.predict_motion`` ("pt"). Frame
     indices are 1-based. margin_frac widens each predicted box into its
-    gate; threshold binarizes masks into boxes and composes the label.
+    gate.
     """
     variant = SOURCE_CV if model is None else SOURCE_PT
 
@@ -123,7 +120,7 @@ def filter_stream(
             predicted = None
             if prev is None or prev2 is None:
                 filtered = channel
-                box = bbox_from_mask(channel, threshold=threshold)
+                box = bbox_from_mask(channel)
                 source = SOURCE_WARMUP
             else:
                 motion = box_delta(prev, prev2)
@@ -131,14 +128,14 @@ def filter_stream(
                     motion = model.predict_motion(motion)
                 predicted = apply_motion(prev, motion)
                 gate = attention_map(predicted, shape[0], shape[1], margin_frac)
-                filtered = filter_mask(gate, channel)
-                box = bbox_from_mask(filtered, threshold=threshold)
+                filtered = channel * gate
+                box = bbox_from_mask(filtered)
                 source = variant
                 if box is None:
                     # Lost inside the gate: pass the frame through ungated,
                     # re-acquire the box from it, and forget the old motion.
                     filtered = channel
-                    box = bbox_from_mask(channel, threshold=threshold)
+                    box = bbox_from_mask(channel)
                     source = SOURCE_FALLBACK
                     predicted = None
 
@@ -153,22 +150,16 @@ def filter_stream(
 
         if shape is None:
             raise ValueError(f"frame {index} carries no object channels")
-        yield FilteredFrame(
-            frame=index,
-            channels=out_channels,
-            label=compose_label(out_channels, shape, threshold),
-            rows=rows,
-        )
+        yield FilteredFrame(frame=index, label=compose_label(out_channels, shape), rows=rows)
 
 
 def run_filter(
     frames: Iterable[dict[int, np.ndarray]],
     model=None,
     margin_frac: float = 0.1,
-    threshold: float = 0.5,
 ) -> tuple[list[FilteredFrame], list[TrackRow]]:
     """Materialized version of :func:`filter_stream`."""
-    out = list(filter_stream(frames, model, margin_frac, threshold))
+    out = list(filter_stream(frames, model, margin_frac))
     rows = [row for f in out for row in f.rows]
     return out, rows
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from voskit.boxes import (
+    MASK_THRESHOLD,
     BBox,
     Motion,
     apply_motion,
     attention_map,
     bbox_from_mask,
     box_delta,
-    filter_mask,
 )
 
 
@@ -40,8 +40,13 @@ def test_bbox_from_mask_binary_threshold():
     mask[2:5, 3:7] = 0.8
     box = bbox_from_mask(mask)
     assert box == BBox(x=3, y=2, w=4, h=3)
-    # below threshold -> absent
-    assert bbox_from_mask(mask * 0.5) is None
+    # at or below MASK_THRESHOLD -> absent; just above it counts
+    mask[2:5, 3:7] = MASK_THRESHOLD
+    assert bbox_from_mask(mask) is None
+    mask[3, 4] = np.nextafter(MASK_THRESHOLD, 0.0)
+    assert bbox_from_mask(mask) is None
+    mask[4, 5] = np.nextafter(MASK_THRESHOLD, 1.0)
+    assert bbox_from_mask(mask) == BBox(x=5, y=4, w=1, h=1)
 
 
 def test_bbox_from_mask_label_mode():
@@ -99,14 +104,3 @@ def test_attention_map_fractional_box_rounds_outward():
 def test_attention_map_rejects_negative_margin():
     with pytest.raises(ValueError):
         attention_map(BBox(0, 0, 2, 2), 5, 5, margin_frac=-0.1)
-
-
-def test_filter_mask_products_and_shape_check():
-    am = np.zeros((4, 4), dtype=np.uint8)
-    am[:2] = 1
-    mask = np.full((4, 4), 0.7)
-    out = filter_mask(am, mask)
-    assert np.allclose(out[:2], 0.7)
-    assert np.allclose(out[2:], 0.0)
-    with pytest.raises(ValueError):
-        filter_mask(am, np.zeros((3, 4)))

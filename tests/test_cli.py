@@ -99,8 +99,9 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
     scene["wibble"] = 3
     assert run(["synth", write_scene(tmp_path, scene), tmp_path / "out"]) == EXIT_INPUT
     # A section that is not a JSON object, a height JSON reads as inf, a
-    # motion JSON reads as inf or that names a NaN, and a box covering the
-    # frame at x = -1e308 whose x overflows to -inf at frame 2.
+    # motion JSON reads as inf or that names a NaN, a float key given a
+    # NaN, a boolean or a string, and a box covering the frame at
+    # x = -1e308 whose x overflows to -inf at frame 2.
     linear = dict(SCENE["objects"][0], motion="linear")
     wide = {"id": 1, "box": [-1e308, 20, 1.5e308, 6], "motion": {"v": [-1e308, 0]}}
     for text in (
@@ -109,6 +110,9 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
         json.dumps(SCENE).replace('"height": 60', '"height": 1e400'),
         json.dumps(SCENE).replace('"v": [3, 1]', '"v": [1e400, 1]'),
         json.dumps(SCENE).replace('"v": [3, 1]', '"v": ["nan", 1]'),
+        json.dumps(SCENE).replace('"min_distance": 20.0', '"min_distance": NaN'),
+        json.dumps(SCENE).replace('"flip_prob": 0.02', '"flip_prob": true'),
+        json.dumps(SCENE).replace('"v": [3, 1]', '"v": ["3", 1]'),
         json.dumps(dict(SCENE, objects=[wide])),
     ):
         (tmp_path / "scene.json").write_text(text)
@@ -144,6 +148,11 @@ def test_synth_oversized_frame_exits_2_before_rendering(tmp_path, capsys, monkey
         (
             dict(SCENE, corruption=dict(SCENE["corruption"], blob_size=[8, 600])),
             "blob size 600 exceeds frame 60x90",
+            False,
+        ),
+        (
+            dict(SCENE, corruption=dict(SCENE["corruption"], min_distance=float("nan"))),
+            "corruption: min_distance: must be finite, got nan",
             False,
         ),
     ],
@@ -594,10 +603,6 @@ def test_gradcheck_full_audit_stdout_matches_golden(capsys):
         ["filter", "in", "out", "--margin", "-1"],
         ["filter", "in", "out", "--margin", "nan"],
         ["synth", "scene.json", "out", "--sequences", "0"],
-        ["filter", "in", "out", "--threshold", "nan"],
-        ["filter", "in", "out", "--threshold", "1.5"],
-        ["filter", "in", "out", "--threshold", "-0.1"],
-        ["filter", "in", "out", "--threshold", "1"],
     ],
 )
 def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypatch, capsys):
@@ -608,6 +613,16 @@ def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypa
         run(argv)
     assert exc.value.code == EXIT_INPUT
     assert f"argument {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_filter_has_no_threshold_option(tmp_path, monkeypatch, capsys):
+    # Masks are binarized at boxes.MASK_THRESHOLD; there is no knob for it.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["filter", "in", "out", "--threshold", "0.5"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --threshold 0.5" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

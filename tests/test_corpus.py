@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from voskit.corpus import (
     CorpusError,
-    channels_from_labels,
     frame_name,
     iter_mask_dir,
     label_ids,
@@ -212,14 +211,8 @@ def test_sequence_mask_dir_required(tmp_path):
     assert sequence_mask_dir(tmp_path, "s", "pred", required=False) is None
 
 
-def test_label_ids_and_channels():
-    seq = masks(3)
-    assert label_ids(seq) == [1, 2]
-    channels = channels_from_labels(seq[0], [1, 2])
-    assert set(channels) == {1, 2}
-    for oid in (1, 2):
-        assert channels[oid].dtype == bool
-        np.testing.assert_array_equal(channels[oid], (seq[0] == oid).astype(np.float64))
+def test_label_ids():
+    assert label_ids(masks(3)) == [1, 2]
 
 
 def test_label_ids_streams_and_matches_unique():

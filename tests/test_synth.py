@@ -724,6 +724,14 @@ def test_scene_json_echo_converts_each_value():
         (("objects", 1, "motion", "a"), [1], "object 1 motion: a: expected a list of 2 numbers"),
         (("objects", 1, "motion", "v"), {"x": 1}, "object 1 motion: v: expected a list of 2 numbers"),
         (("objects",), 3, "scene: objects: 'int' object is not iterable"),
+        (("corruption", "flip_prob"), True, "corruption: flip_prob: expected a number, got True"),
+        (("corruption", "flip_prob"), "0.5", "corruption: flip_prob: expected a number, got '0.5'"),
+        (("corruption", "min_distance"), "60", "corruption: min_distance: expected a number, got '60'"),
+        (("corruption", "min_distance"), float("nan"), "corruption: min_distance: must be finite, got nan"),
+        (("objects", 0, "box"), [2, 3, True, 4], "object 0: box: expected a number, got True"),
+        (("objects", 0, "box"), [2, float("inf"), 6, 4], "object 0: box: must be finite, got inf"),
+        (("objects", 0, "motion", "v"), ["3", 1], "object 0 motion: v: expected a number, got '3'"),
+        (("objects", 1, "motion", "a"), [None, 1], "object 1 motion: a: expected a number, got None"),
     ],
 )
 def test_scene_json_rejects_a_value_of_the_wrong_type_naming_its_key(path, value, message):
@@ -815,9 +823,9 @@ def test_scene_json_rejects_missing_required():
     "motion",
     [
         {"kind": "linear", "v": [float("inf"), 0]},
-        {"kind": "linear", "v": ["nan", 0]},
+        {"kind": "linear", "v": [float("nan"), 0]},
         {"kind": "accelerating", "v": [1, 0], "a": [0, float("-inf")]},
-        {"kind": "sinusoidal", "amplitude": [3, 0], "period": "nan"},
+        {"kind": "sinusoidal", "amplitude": [3, 0], "period": float("nan")},
     ],
 )
 def test_scene_json_rejects_non_finite_motion(motion):

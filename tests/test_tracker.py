@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from voskit.boxes import BBox, attention_map
+from voskit.boxes import MASK_THRESHOLD, BBox, attention_map
 from voskit.tracker import (
     TRACK_CSV_HEADER,
     TrackRow,
@@ -43,7 +44,7 @@ def test_warmup_passes_frames_through():
     frames, boxes, _ = moving_scene(blob_from=1)
     out, rows = run_filter(frames)
     for i in (0, 1):
-        assert np.array_equal(out[i].channels[1], frames[i][1])
+        assert np.array_equal(out[i].label, compose_label(frames[i], frames[i][1].shape))
         assert rows[i].source == "warmup"
         # warm-up box comes from the unfiltered channel, so it includes the blob
     assert rows[0].frame == 1 and rows[1].frame == 2
@@ -55,10 +56,10 @@ def test_gating_removes_far_blob_from_frame_three():
     bx, by, bw, bh = blob
     for i in range(2, len(frames)):
         assert rows[i].source == "cv"
-        # the blob region is zeroed, the object region survives
-        assert out[i].channels[1][by : by + bh, bx : bx + bw].sum() == 0
+        # the blob region is cleared, the object region survives
+        assert out[i].label[by : by + bh, bx : bx + bw].sum() == 0
         b = boxes[i]
-        assert out[i].channels[1][int(b.y) : int(b.y + b.h), int(b.x) : int(b.x + b.w)].all()
+        assert (out[i].label[int(b.y) : int(b.y + b.h), int(b.x) : int(b.x + b.w)] == 1).all()
         # recovered box is exactly the true box (blob removed, motion exact)
         assert rows[i].box == boxes[i]
 
@@ -67,14 +68,15 @@ def test_filter_is_non_expansive():
     frames, _, _ = moving_scene()
     out, _ = run_filter(frames)
     for i, frame in enumerate(frames):
-        assert np.all(out[i].channels[1] <= frame[1] + 1e-15)
+        # every labelled pixel was labelled before filtering
+        assert np.all(out[i].label <= compose_label(frame, frame[1].shape))
 
 
 def test_huge_margin_is_identity():
     frames, _, _ = moving_scene()
     out, _ = run_filter(frames, margin_frac=100.0)
     for i, frame in enumerate(frames):
-        assert np.array_equal(out[i].channels[1], frame[1])
+        assert np.array_equal(out[i].label, compose_label(frame, frame[1].shape))
 
 
 def test_fallback_when_gate_empties_mask():
@@ -89,7 +91,7 @@ def test_fallback_when_gate_empties_mask():
     out, rows = run_filter(frames)
     # frame 3: predicted gate around x=8 misses the object entirely
     assert rows[2].source == "fallback"
-    assert np.array_equal(out[2].channels[1], frames[2][1])
+    assert np.array_equal(out[2].label, compose_label(frames[2], shape))
     assert rows[2].box == BBox(40, 20, 4, 4)
     # fallback reset the motion history, so frame 4 warms up again
     assert rows[3].source == "warmup"
@@ -100,8 +102,9 @@ def test_fallback_when_gate_empties_mask():
 
 def test_rows_carry_the_gate_box():
     # Object 1 teleports on frame 3 (fallback) and warms up again; object 2
-    # is gated from frame 3 on and sheds a distractor blob. Its faint halo,
-    # below threshold, reaches 2 pixels out: the 0.4 margin keeps all of it.
+    # is gated from frame 3 on and sheds a distractor blob. Its faint halo
+    # stays below MASK_THRESHOLD; on frame 3 one full pixel lies two columns
+    # right of the predicted box, on the last column the 0.4 margin keeps.
     shape = (30, 50)
     blob = rect_channel(shape, 2, 24, 4, 3, value=0.9)
     object_2 = [
@@ -111,6 +114,7 @@ def test_rows_carry_the_gate_box():
         )
         for t in range(5)
     ]
+    object_2[2][14, 38] = 1.0
     object_2[2] = object_2[2] + blob
     object_1 = [rect_channel(shape, 2, 2, 4, 4), rect_channel(shape, 5, 2, 4, 4)]
     object_1 += [rect_channel(shape, 40, 20, 4, 4)] * 3
@@ -119,13 +123,16 @@ def test_rows_carry_the_gate_box():
     out, rows = run_filter(frames, margin_frac=margin)
     assert {row.source for row in rows} == {"warmup", "cv", "fallback"}
     assert rows[5].gate == BBox(32, 12, 5, 5)  # object 2, frame 3
+    assert rows[5].box == BBox(32, 12, 7, 5)
     for filtered, frame in zip(out, frames):
+        gated = {}
         for row in filtered.rows:
             assert (row.gate is None) == (row.source in ("warmup", "fallback"))
+            channel = frame[row.object_id]
             if row.gate is not None:
-                gate = attention_map(row.gate, *shape, margin)
-                expected = frame[row.object_id] * gate
-                assert np.array_equal(filtered.channels[row.object_id], expected)
+                channel = channel * attention_map(row.gate, *shape, margin)
+            gated[row.object_id] = channel
+        assert np.array_equal(filtered.label, compose_label(gated, shape))
 
 
 def test_object_absent_resets_track():
@@ -197,6 +204,27 @@ def test_multi_object_tracks_are_independent():
         assert [r.source for r in by_obj[oid]] == ["warmup", "warmup", "cv", "cv", "cv", "cv"]
 
 
+def test_run_filter_keeps_labels_not_soft_channels():
+    # Twenty gated 480x854 float64 frames: run_filter keeps each frame's
+    # uint8 label and track rows, not the gated soft channels.
+    shape, gated = (480, 854), 20
+
+    def frames():
+        for _ in range(gated + 2):
+            yield {1: rect_channel(shape, 100, 80, 60, 40)}
+
+    tracemalloc.start()
+    try:
+        out, rows = run_filter(frames())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row.source for row in rows] == ["warmup"] * 2 + ["cv"] * gated
+    assert len(out) == gated + 2
+    float64_frame = 480 * 854 * np.dtype(np.float64).itemsize
+    assert peak < gated * float64_frame, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_streaming_and_materialized_agree():
     frames, _, _ = moving_scene()
     streamed = list(filter_stream(iter(frames)))
@@ -228,7 +256,7 @@ def test_pt_variant_with_untrained_model_is_stationary_gate():
     bx, by, bw, bh = blob
     for i in range(2, len(frames)):
         assert rows[i].box == boxes[i]
-        assert out[i].channels[1][by : by + bh, bx : bx + bw].sum() == 0
+        assert out[i].label[by : by + bh, bx : bx + bw].sum() == 0
 
 
 def test_shape_drift_rejected():
@@ -272,20 +300,26 @@ def test_compose_label_empty_channels():
     assert label.shape == (3, 3) and label.sum() == 0
 
 
-def reference_compose_label(channels, shape, threshold=0.5):
+def reference_compose_label(channels, shape):
     """Stacked argmax in id order: the first maximum wins, and the label is
-    0 where the maximum is <= threshold."""
+    0 where the maximum is <= MASK_THRESHOLD."""
     if not channels:
         return np.zeros(shape, dtype=np.uint8)
     ids = sorted(channels)
     stack = np.stack([channels[oid] for oid in ids])
     winner = np.asarray(ids)[np.argmax(stack, axis=0)]
-    return np.where(stack.max(axis=0) > threshold, winner, 0).astype(np.uint8)
+    return np.where(stack.max(axis=0) > MASK_THRESHOLD, winner, 0).astype(np.uint8)
 
 
-# Few distinct values, so ties between channels and with the threshold are common.
+# Few distinct values, so ties between channels and with the threshold are
+# common, as are values one ulp either side of it.
+AROUND_THRESHOLD = [
+    np.nextafter(MASK_THRESHOLD, 0.0),
+    MASK_THRESHOLD,
+    np.nextafter(MASK_THRESHOLD, 1.0),
+]
 soft_values = st.one_of(
-    st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    st.sampled_from([0.0, 0.3, *AROUND_THRESHOLD, 0.7, 1.0]),
     st.floats(0.0, 1.0, allow_nan=False),
 )
 
@@ -298,22 +332,27 @@ def channel_dicts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(channel_dicts(), st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.99]))
-def test_compose_label_equals_stacked_argmax_reference(case, threshold):
+@given(channel_dicts())
+def test_compose_label_equals_stacked_argmax_reference(case):
     shape, channels = case
-    label = compose_label(channels, shape, threshold)
+    label = compose_label(channels, shape)
     assert label.dtype == np.uint8
-    assert np.array_equal(label, reference_compose_label(channels, shape, threshold))
+    assert np.array_equal(label, reference_compose_label(channels, shape))
 
 
 def test_filter_labels_with_the_box_threshold():
-    # A soft mask at 0.4: above the 0.3 threshold, so it is both boxed and
-    # labelled, and every labelled pixel lies inside its box.
-    channel = rect_channel((20, 30), 5, 4, 7, 6, value=0.4)
-    [frame] = filter_stream([{3: channel}], threshold=0.3)
+    # A soft mask one ulp below MASK_THRESHOLD, at it, and one ulp above it:
+    # only the pixels above it are boxed and labelled, and every labelled
+    # pixel lies inside its box.
+    below, at, above = AROUND_THRESHOLD
+    channel = rect_channel((20, 30), 18, 10, 9, 8, value=below)
+    channel[2:12, 1:14] = at
+    channel[4:10, 5:12] = above
+    [frame] = filter_stream([{3: channel}])
     [row] = frame.rows
     assert row.box == BBox(5, 4, 7, 6)
-    assert np.array_equal(frame.label, np.where(channel > 0.3, 3, 0))
+    assert np.array_equal(frame.label, np.where(channel > MASK_THRESHOLD, 3, 0))
+    assert frame.label.sum() == 3 * 7 * 6
     ys, xs = np.nonzero(frame.label)
     assert (xs >= row.box.x).all() and (xs < row.box.x + row.box.w).all()
     assert (ys >= row.box.y).all() and (ys < row.box.y + row.box.h).all()
