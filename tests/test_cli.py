@@ -603,6 +603,10 @@ def test_gradcheck_full_audit_stdout_matches_golden(capsys):
         ["filter", "in", "out", "--margin", "-1"],
         ["filter", "in", "out", "--margin", "nan"],
         ["synth", "scene.json", "out", "--sequences", "0"],
+        ["filter", "in", "out", "--margin", "inf"],
+        ["filter", "in", "out", "--margin", "wide"],
+        ["synth", "scene.json", "out", "--sequences", "1.5"],
+        ["train-pt", "corpus", "--out", "w.tvck", "--lr", "inf"],
     ],
 )
 def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypatch, capsys):
