@@ -105,10 +105,11 @@ def attention_map(
     x1 = box.x + box.w + margin_frac * box.w
     y0 = box.y - margin_frac * box.h
     y1 = box.y + box.h + margin_frac * box.h
-    c0 = max(int(np.floor(x0)), 0)
-    c1 = min(int(np.ceil(x1)), width)
-    r0 = max(int(np.floor(y0)), 0)
-    r1 = min(int(np.ceil(y1)), height)
+    # Clip before converting: a huge margin takes the edges to +-inf.
+    c0 = int(max(np.floor(x0), 0))
+    c1 = int(min(np.ceil(x1), width))
+    r0 = int(max(np.floor(y0), 0))
+    r1 = int(min(np.ceil(y1), height))
     out = np.zeros((height, width), dtype=np.uint8)
     if r0 < r1 and c0 < c1:
         out[r0:r1, c0:c1] = 1

@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import InputError
+
 MAGIC = b"TVCK"
 VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(InputError):
     """Base class for checkpoint file and transplant errors."""
 
 

@@ -336,24 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that mean malformed input (exit 2). Called only once
-    an exception reaches ``main``, so no subcommand loads ``synth`` or
-    ``checkpoint`` just to name their error classes."""
-    from . import checkpoint, synth
-
-    return (
-        corpus.CorpusError,
-        synth.SceneError,
-        checkpoint.CheckpointError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-        FileExistsError,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -361,7 +343,13 @@ def main(argv=None) -> int:
     except MissingInputError as exc:
         _fail(str(exc))
         return EXIT_MISSING
-    except _input_errors() as exc:
+    except (
+        corpus.InputError,
+        FileNotFoundError,
+        NotADirectoryError,
+        IsADirectoryError,
+        FileExistsError,
+    ) as exc:
         _fail(str(exc))
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -19,7 +19,11 @@ TRACKS_NAME = "tracks.csv"
 SCENE_NAME = "scene.json"
 
 
-class CorpusError(ValueError):
+class InputError(ValueError):
+    """Malformed input: a mask file, corpus, scene or checkpoint. CLI exit 2."""
+
+
+class CorpusError(InputError):
     """Malformed mask file or corpus layout, or prediction and ground truth
     that do not line up frame for frame."""
 

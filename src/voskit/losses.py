@@ -139,12 +139,11 @@ def ssim_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     d_var = -ssim_map / b2
     d_cov = 2.0 * a1 / (b1 * b2)
 
-    # Chain through mu_p = W p, var_p = W(p^2) - mu_p^2, cov = W(p t) - mu_p mu_t.
-    g = windowed_mean_adjoint(d_mu)
+    # Chain through mu_p = W p, var_p = W(p^2) - mu_p^2, cov = W(p t) - mu_p mu_t;
+    # the mu_p terms of var_p and cov share one adjoint with d_mu.
+    g = windowed_mean_adjoint(d_mu - 2.0 * mu_p * d_var - mu_t * d_cov)
     g += 2.0 * p * windowed_mean_adjoint(d_var)
-    g -= 2.0 * windowed_mean_adjoint(d_var * mu_p)
     g += t * windowed_mean_adjoint(d_cov)
-    g -= windowed_mean_adjoint(d_cov * mu_t)
     return LossOut(value=_value(value), grad=-g / t.size)
 
 

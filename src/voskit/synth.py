@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .boxes import BBox
+from .corpus import InputError
 from .metrics import erode
 from .rng import Rng
 
@@ -41,7 +42,7 @@ BLOB_ATTEMPTS = 100
 MAX_FRAME_SIDE = 4096
 
 
-class SceneError(ValueError):
+class SceneError(InputError):
     """Scene configuration that cannot be rendered as specified."""
 
 
@@ -96,7 +97,10 @@ class SinusoidalMotion:
 
     def offset(self, t: int) -> tuple[float, float]:
         phase = 2.0 * math.pi * (t - 1) / self.period
-        return (self.amp_x * math.sin(phase), self.amp_y * math.sin(phase))
+        # A period too small for the phase to stay finite gives a NaN
+        # offset, which analytic_box refuses as a SceneError.
+        sine = math.sin(phase) if math.isfinite(phase) else math.nan
+        return (self.amp_x * sine, self.amp_y * sine)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,14 @@ def test_attention_map_fractional_box_rounds_outward():
     assert am.sum() == 4
 
 
+def test_attention_map_covers_the_frame_at_a_huge_margin():
+    # At 1e308 the expanded edges overflow to -inf and +inf; they clip to
+    # the frame like finite edges do.
+    am = attention_map(BBox(10, 5, 20, 10), 40, 60, margin_frac=1e308)
+    assert am.dtype == np.uint8 and am.shape == (40, 60)
+    assert am.all()
+
+
 def test_attention_map_rejects_negative_margin():
     with pytest.raises(ValueError):
         attention_map(BBox(0, 0, 2, 2), 5, 5, margin_frac=-0.1)

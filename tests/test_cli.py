@@ -155,6 +155,12 @@ def test_synth_oversized_frame_exits_2_before_rendering(tmp_path, capsys, monkey
             "corruption: min_distance: must be finite, got nan",
             False,
         ),
+        # a period so small that the phase of frame 2 overflows
+        (
+            dict(SCENE, objects=[{"box": [5, 10, 12, 8], "motion": {"kind": "sinusoidal", "period": 1e-320}}]),
+            "object 1 moves to non-finite (nan, nan) at frame 2",
+            True,
+        ),
     ],
 )
 def test_synth_scene_error_names_the_scene_file(tmp_path, capsys, scene, message, parsed):
@@ -254,6 +260,21 @@ def test_filter_on_clean_linear_corpus_is_idempotent(built_corpus, tmp_path):
         b = list(corpus.iter_mask_dir(twice / seq / "masks_pred"))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def test_filter_margin_wider_than_the_frame_gates_nothing_out(built_corpus, tmp_path):
+    # At 1e308 the gate's edges overflow to +-inf; the gate still clips to
+    # the whole frame, as it does at 1e300.
+    trees = []
+    for margin in ("1e300", "1e308"):
+        out = tmp_path / margin
+        assert run(["filter", built_corpus, out, "--margin", margin, "--dump-overlay"]) == EXIT_OK
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+    overlays = [name for name in trees[1] if name.startswith(os.path.join("seq0000", "overlays"))]
+    assert overlays
+    for name in overlays:
+        assert (corpus.read_pgm(tmp_path / "1e308" / name) == 255).all()
 
 
 def test_filter_writes_tracks_per_sequence(built_corpus, tmp_path):
@@ -776,9 +797,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(built_corpus, tmp_path):
 
 
 def test_exit_codes_in_a_fresh_interpreter(built_corpus, tmp_path):
-    # main looks the exit-2 error classes of lazily loaded modules up only
-    # once an exception reaches it; in-process tests would pass a wrong
-    # lookup, because earlier tests have loaded every module.
+    # Each subcommand loads its own modules, and main maps their exit-2
+    # errors through one base class, corpus.InputError, without loading
+    # them; only a fresh process shows that mapping, because earlier tests
+    # have loaded every module.
     bad_scene = write_scene(tmp_path, dict(SCENE, wibble=3))
     not_json = tmp_path / "empty.json"
     not_json.write_text("")
@@ -811,6 +833,30 @@ def test_exit_codes_in_a_fresh_interpreter(built_corpus, tmp_path):
         proc, _ = fresh_main(argv, setup)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith(err), proc.stderr
+
+
+def test_failing_eval_exits_2_without_loading_other_error_modules(tmp_path):
+    # main maps malformed input to exit 2 by the base class corpus.InputError,
+    # so classifying the error loads neither synth nor checkpoint.
+    missing = tmp_path / "missing"
+    proc, loaded = fresh_main(["eval", missing, missing])
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stderr == f"error: {missing}: not a directory\n"
+    assert not loaded & {"voskit.synth", "voskit.checkpoint"}, loaded
+
+
+def test_every_malformed_input_error_is_an_input_error():
+    assert issubclass(corpus.InputError, ValueError)
+    for err in (
+        corpus.CorpusError,
+        synth.SceneError,
+        checkpoint.CheckpointError,
+        checkpoint.BadMagicError,
+        checkpoint.UnsupportedVersionError,
+        checkpoint.TruncatedFileError,
+        checkpoint.EntryShapeError,
+    ):
+        assert issubclass(err, corpus.InputError), err
 
 
 def test_eval_runs_with_scipy_blocked(built_corpus, tmp_path, capsys):

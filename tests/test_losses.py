@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voskit import grid, gradcheck
+from voskit import grid, gradcheck, losses
 from voskit.gradcheck import max_err
 from voskit.losses import (
     CLAMP_EPS,
     IOU_EPS,
+    SSIM_C1,
+    SSIM_C2,
     LossWeights,
     ce_loss,
     fit_toy_segmenter,
@@ -367,18 +369,79 @@ def test_ssim_loss_applies_the_window_five_times(monkeypatch):
     assert len(calls) == 5
 
 
+def test_ssim_loss_applies_the_window_adjoint_three_times(monkeypatch):
+    calls = []
+    adjoint = grid.windowed_mean_adjoint
+    monkeypatch.setattr(losses, "windowed_mean_adjoint", lambda a: calls.append(1) or adjoint(a))
+    pred, target = soft_pair(3, size=8)
+    ssim_loss(pred, target)
+    assert len(calls) == 3
+
+
+def ssim_grad_five_adjoints(pred, target):
+    """Reference ssim_loss gradient that chains through each prediction
+    statistic with an adjoint of its own: five adjoints, where ssim_loss
+    shares one among the mu_p terms of mu_p, var_p and cov. Returns the
+    gradient and its scale: the same fold over the absolute value of every
+    term, which bounds what re-associating the sum can round away."""
+    p, t = grid.as_grid(pred), grid.as_grid(target)
+    mu_p, mu_t, var_p, var_t, cov = grid.windowed_statistics(p, t)
+    a1 = 2.0 * mu_p * mu_t + SSIM_C1
+    a2 = 2.0 * cov + SSIM_C2
+    b1 = mu_p * mu_p + mu_t * mu_t + SSIM_C1
+    b2 = var_p + var_t + SSIM_C2
+    ssim_map = (a1 * a2) / (b1 * b2)
+    d_mu = (2.0 * mu_t * a2) / (b1 * b2) - 2.0 * mu_p * ssim_map / b1
+    d_var = -ssim_map / b2
+    d_cov = 2.0 * a1 / (b1 * b2)
+    adjoint = grid.windowed_mean_adjoint
+    g = adjoint(d_mu)
+    g += 2.0 * p * adjoint(d_var)
+    g -= 2.0 * adjoint(d_var * mu_p)
+    g += t * adjoint(d_cov)
+    g -= adjoint(d_cov * mu_t)
+    scale = adjoint(abs(d_mu))
+    scale += 2.0 * p * adjoint(abs(d_var))
+    scale += 2.0 * adjoint(abs(d_var * mu_p))
+    scale += t * adjoint(abs(d_cov))
+    scale += adjoint(abs(d_cov * mu_t))
+    return -g / t.size, scale / t.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    binary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ssim_gradient_equals_the_five_adjoint_fold(height, width, lead, binary, seed):
+    # The shared adjoint re-associates the sum, so the two agree to a
+    # rounding relative to the size of its terms, not bit for bit: terms
+    # can cancel to a gradient far smaller than themselves.
+    rng = Rng(seed)
+    preds = rng.uniform(int(np.prod(lead)) * height * width).reshape(*lead, height, width)
+    if binary:
+        preds = np.round(preds)
+    target = (rng.uniform(height * width).reshape(height, width) > 0.5).astype(np.float64)
+    ref, scale = ssim_grad_five_adjoints(preds, target)
+    assert np.all(np.abs(ssim_loss(preds, target).grad - ref) <= 1e-12 * scale)
+
+
 def test_ssim_and_total_loss_match_golden_bits():
-    # Values and gradient digests pinned before the window became a constant.
+    # The gradient digests also pin the order in which ssim_loss sums its
+    # adjoint terms; the values do not depend on it.
     pred, target = soft_pair(5, size=24)
     ssim = ssim_loss(pred, target)
     total = total_loss(pred, target, LossWeights(0.7, 1.3, 0.4))
     assert repr(ssim.value) == "1.0127663572534387"
     assert repr(total.value) == "2.2172339400394345"
     assert sha256(ssim.grad.tobytes()).hexdigest() == (
-        "bb33dd21e0e2ce31edf53b854949fbd78f4cda41ca2c4c399e46d576e10ff83c"
+        "669a659399f76a5500242cc6195de22556987b46fd76af9d867386aaf9214697"
     )
     assert sha256(total.grad.tobytes()).hexdigest() == (
-        "a54549d68ba445bf673aa0f30c801bb8f794b523a4137a97185ffa2f13275aba"
+        "7c74c8c5efd46694c5b148fee3f6cc06a93ab01420ac6442365408d7f8aa56ad"
     )
 
 
@@ -413,10 +476,10 @@ def test_toy_segmenter_matches_golden_bits():
         "0.03674280334966832",
     )
     assert sha256(np.array(history).tobytes()).hexdigest() == (
-        "923040aa3d98713caf4175200cf3df1dd3c832c7d645a3e0a1877f246ffeb76f"
+        "e795a041318cb2da7f24b900b6bc84d82d63ea97399bca0e1c9ffe8e7dc8f0aa"
     )
     assert sha256(params.tobytes()).hexdigest() == (
-        "6ac858217aaf68962aa4c0236ae0be295dae8bc43382ff1778745d8aabc253e6"
+        "26c202e3519ec9e7fda3c47cb35ce954198523ff5d7ce831b4458e4968c03f89"
     )
 
 
