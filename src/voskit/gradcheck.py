@@ -1,11 +1,15 @@
 """Finite-difference validation of every analytic gradient in the package.
 
 Each check builds a random smooth instance, computes the analytic gradient,
-and compares against central differences component by component. The
-differences are batched: one call of the checked function scores a whole
-stack of perturbed copies of its input. The error measure is relative where
-the gradient is meaningfully sized and absolute below a floor, so near-zero
-components cannot blow up the ratio.
+and compares it against central differences. The loss, GeLU and MLP bias
+gradients, and the first and last MLP weight matrices, are checked
+component by component; the hidden MLP weight matrices are checked along
+random +-1 directions, each difference compared with the analytic
+gradient's inner product with its direction. The differences are batched:
+one call of the checked function scores a whole stack of perturbed copies
+of its input. The error measure is relative where the gradient is
+meaningfully sized and absolute below a floor, so near-zero components
+cannot blow up the ratio.
 """
 
 from __future__ import annotations
@@ -54,12 +58,28 @@ def central_diff(f, x: np.ndarray, picks=slice(None)) -> np.ndarray:
         chunk = cols[start : start + FD_CHUNK]
         k = chunk.size
         rows = np.arange(k)
-        stack = np.tile(flat, (2 * k, 1))
+        stack = np.empty((2 * k, flat.size))
+        stack[...] = flat
         stack[rows, chunk] += FD_EPS
         stack[rows + k, chunk] -= FD_EPS
         values = np.asarray(f(stack.reshape(2 * k, *x.shape)), dtype=np.float64)
         grad[start : start + k] = (values[:k] - values[k:]) / (2.0 * FD_EPS)
     return grad
+
+
+def directional_diff(f, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Central finite differences of a scalar function f at x along each of
+    the k arrays in ``directions`` (shape (k, *x.shape)); returns k values.
+
+    f is called once, on the stack of 2k copies whose first k hold
+    x + FD_EPS*V and last k hold x - FD_EPS*V for each direction V."""
+    k = len(directions)
+    stack = np.empty((2 * k, *x.shape))
+    np.multiply(directions, FD_EPS, out=stack[:k])
+    np.subtract(x, stack[:k], out=stack[k:])
+    stack[:k] += x
+    values = np.asarray(f(stack), dtype=np.float64)
+    return (values[:k] - values[k:]) / (2.0 * FD_EPS)
 
 
 def max_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -123,19 +143,34 @@ def _randomized_params(seed: int):
     return params
 
 
-HIDDEN_WEIGHT_STRIDE = 7
-
-
 MLP_BATCH = 3
+
+# Random directions per hidden weight matrix. Each one checks every entry
+# of the matrix at once, so a wrong entry, row or layout shows in nearly
+# every direction.
+MLP_DIRECTIONS = 32
+
+
+def sign_directions(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
+    """MLP_DIRECTIONS random +-1 arrays of ``shape``, stacked on a new first
+    axis. Entry j of the flattened stack is bit j % 64 (least significant
+    first) of draw j // 64, 1 giving -1: every bit of every draw is used,
+    and the signs do not depend on the platform's byte order."""
+    n = MLP_DIRECTIONS * int(np.prod(shape))
+    draws = rng.uint64(-(-n // 64)).astype("<u8")
+    bits = np.unpackbits(draws.view(np.uint8), count=n, bitorder="little")
+    directions = np.multiply(bits, -2.0).reshape(MLP_DIRECTIONS, *shape)
+    directions += 1.0
+    return directions
 
 
 def check_mlp(seed: int, size: int = 0) -> float:
     """FD check of the full backward pass on a batch of MLP_BATCH inputs.
     ``size`` is unused: the layer sizes fix every shape. Biases and the
-    first and last weight matrices are checked exhaustively; the large
-    hidden weight matrices on a fixed stride (a backprop defect corrupts
-    whole layers, so strided coverage still catches it at a seventh of
-    the cost).
+    first and last weight matrices are checked component by component. Each
+    hidden weight matrix W is checked along MLP_DIRECTIONS random +-1
+    directions V: the central difference of the output in W +- FD_EPS*V
+    against the analytic gradient's inner product with V.
 
     Each stack of perturbed weights or biases replaces layer i's parameter
     in one ``mlp_forward`` call: the layers below i run once, unstacked,
@@ -155,12 +190,19 @@ def check_mlp(seed: int, size: int = 0) -> float:
         return np.sum(mlp_forward(replaced, x)[0] * c, axis=(-2, -1))
 
     last = len(params) - 1
-    strided = slice(seed % HIDDEN_WEIGHT_STRIDE, None, HIDDEN_WEIGHT_STRIDE)
     errors = []
     for i, layer in enumerate(params):
-        picks = strided if i not in (0, last) else slice(None)
-        numeric = central_diff(lambda w: score(i, "weight", w), layer["weight"], picks)
-        errors.append(max_err(analytic[i]["weight"].reshape(-1)[picks], numeric))
+        w, grad_w = layer["weight"], analytic[i]["weight"]
+        if i in (0, last):
+            numeric = central_diff(lambda v: score(i, "weight", v), w)
+            errors.append(max_err(grad_w, numeric))
+        else:
+            directions = sign_directions(rng, w.shape)
+            numeric = directional_diff(lambda v: score(i, "weight", v), w, directions)
+            projected = directions.reshape(len(directions), -1) @ grad_w.reshape(-1)
+            errors.append(max_err(projected, numeric))
+            # Two layers' directions alive at once would raise peak RSS.
+            del directions
         numeric = central_diff(lambda b: score(i, "bias", b[:, None, :]), layer["bias"])
         errors.append(max_err(analytic[i]["bias"], numeric))
     # np.max, not max(): a NaN error must fail the check, not vanish.

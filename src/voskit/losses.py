@@ -10,8 +10,9 @@ scale-free across resolutions:
 * soft IoU             1 - sum(p*t) / (sum(p + t - p*t) + eps)
 
 ``total_loss`` combines them with nonnegative weights. Every loss returns
-both its value and the exact derivative with respect to the prediction map,
-so the terms can drive gradient descent without an autograd framework.
+its value and the exact derivative with respect to the prediction map,
+computed when first read, so the terms can drive gradient descent without
+an autograd framework and a value alone costs no gradient.
 Every loss also scores a stack of predictions (..., H, W) against one
 (H, W) target in one call: the values are an array over the leading axes,
 each equal bit for bit to the float the slice alone would score.
@@ -21,7 +22,9 @@ model trained by plain gradient descent on the combined loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,10 +39,19 @@ SSIM_C2 = 0.03**2
 @dataclass(frozen=True)
 class LossOut:
     """Loss value plus d(value)/d(prediction), same shape as the prediction.
-    The value is a float for one grid and an array (...) for a stack."""
+    The value is a float for one grid and an array (...) for a stack.
+
+    ``grad`` is computed by ``grad_fn`` on first access and then cached. It
+    reads the prediction and target arrays the loss was given, not copies:
+    write to them after scoring and the gradient no longer matches the
+    value."""
 
     value: float | np.ndarray
-    grad: np.ndarray
+    grad_fn: Callable[[], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return self.grad_fn()
 
 
 @dataclass(frozen=True)
@@ -89,9 +101,13 @@ def ce_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     _check_binary(t)
     pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     value = -np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc), axis=(-2, -1))
-    grad = (-t / pc + (1.0 - t) / (1.0 - pc)) / t.size
-    grad[(p < CLAMP_EPS) | (p > 1.0 - CLAMP_EPS)] = 0.0
-    return LossOut(value=_value(value), grad=grad)
+
+    def grad():
+        g = (-t / pc + (1.0 - t) / (1.0 - pc)) / t.size
+        g[(p < CLAMP_EPS) | (p > 1.0 - CLAMP_EPS)] = 0.0
+        return g
+
+    return LossOut(_value(value), grad)
 
 
 def iou_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
@@ -104,12 +120,15 @@ def iou_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     inter = np.sum(p * t, axis=(-2, -1))
     union = np.sum(p + t - p * t, axis=(-2, -1)) + IOU_EPS
     value = 1.0 - inter / union
-    # d inter/dp = t, d union/dp = 1 - t. Square the union before it
-    # broadcasts: numpy squares a scalar with pow(), an array with x*x, and
-    # the two can differ in the last bit.
-    inter, union, union_sq = (v[..., None, None] for v in (inter, union, union**2))
-    grad = -(t * union - inter * (1.0 - t)) / union_sq
-    return LossOut(value=_value(value), grad=grad)
+
+    def grad():
+        # d inter/dp = t, d union/dp = 1 - t. Square the union before it
+        # broadcasts: numpy squares a scalar with pow(), an array with x*x,
+        # and the two can differ in the last bit.
+        i, u, u_sq = (v[..., None, None] for v in (inter, union, union**2))
+        return -(t * u - i * (1.0 - t)) / u_sq
+
+    return LossOut(_value(value), grad)
 
 
 def ssim_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
@@ -134,17 +153,20 @@ def ssim_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     ssim_map = (a1 * a2) / (b1 * b2)
     value = 1.0 - np.mean(ssim_map, axis=(-2, -1))
 
-    # Partials of the per-pixel SSIM w.r.t. the prediction's statistics.
-    d_mu = (2.0 * mu_t * a2) / (b1 * b2) - 2.0 * mu_p * ssim_map / b1
-    d_var = -ssim_map / b2
-    d_cov = 2.0 * a1 / (b1 * b2)
+    def grad():
+        # Partials of the per-pixel SSIM w.r.t. the prediction's statistics.
+        d_mu = (2.0 * mu_t * a2) / (b1 * b2) - 2.0 * mu_p * ssim_map / b1
+        d_var = -ssim_map / b2
+        d_cov = 2.0 * a1 / (b1 * b2)
 
-    # Chain through mu_p = W p, var_p = W(p^2) - mu_p^2, cov = W(p t) - mu_p mu_t;
-    # the mu_p terms of var_p and cov share one adjoint with d_mu.
-    g = windowed_mean_adjoint(d_mu - 2.0 * mu_p * d_var - mu_t * d_cov)
-    g += 2.0 * p * windowed_mean_adjoint(d_var)
-    g += t * windowed_mean_adjoint(d_cov)
-    return LossOut(value=_value(value), grad=-g / t.size)
+        # Chain through mu_p = W p, var_p = W(p^2) - mu_p^2, cov = W(p t) - mu_p mu_t;
+        # the mu_p terms of var_p and cov share one adjoint with d_mu.
+        g = windowed_mean_adjoint(d_mu - 2.0 * mu_p * d_var - mu_t * d_cov)
+        g += 2.0 * p * windowed_mean_adjoint(d_var)
+        g += t * windowed_mean_adjoint(d_cov)
+        return -g / t.size
+
+    return LossOut(_value(value), grad)
 
 
 def total_loss(
@@ -155,21 +177,26 @@ def total_loss(
     """Weighted sum of the three loss terms; terms with weight 0 are skipped
     so the projections onto a single term are bit-exact."""
     p, t = _check_pair(pred, target)
+    terms = [
+        (lam, loss(p, t))
+        for lam, loss in (
+            (weights.lambda_ce, ce_loss),
+            (weights.lambda_ssim, ssim_loss),
+            (weights.lambda_iou, iou_loss),
+        )
+        if lam != 0.0
+    ]
     value = 0.0
-    grad = np.zeros_like(p)
-    if weights.lambda_ce != 0.0:
-        out = ce_loss(p, t)
-        value += weights.lambda_ce * out.value
-        grad += weights.lambda_ce * out.grad
-    if weights.lambda_ssim != 0.0:
-        out = ssim_loss(p, t)
-        value += weights.lambda_ssim * out.value
-        grad += weights.lambda_ssim * out.grad
-    if weights.lambda_iou != 0.0:
-        out = iou_loss(p, t)
-        value += weights.lambda_iou * out.value
-        grad += weights.lambda_iou * out.grad
-    return LossOut(value=value, grad=grad)
+    for lam, out in terms:
+        value += lam * out.value
+
+    def grad():
+        g = np.zeros_like(p)
+        for lam, out in terms:
+            g += lam * out.grad
+        return g
+
+    return LossOut(value, grad)
 
 
 def fit_toy_segmenter(

@@ -11,7 +11,7 @@ import pytest
 
 import voskit
 from voskit import checkpoint, corpus, synth
-from voskit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISSING, EXIT_OK, main
+from voskit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISSING, EXIT_OK, MAX_GRADCHECK_SIZE, main
 from voskit.motion_mlp import MotionPredictor
 
 SCENE = {
@@ -576,15 +576,18 @@ def test_gradcheck_cli_passes(capsys):
     assert "FAIL" not in out
 
 
-# The stdout of `gradcheck --seeds 2 --size 16` from the per-component
-# finite-difference driver; batching the perturbations must not move a digit.
+# The stdout of `gradcheck --seeds 2 --size 16`. The loss and gelu lines are
+# those of the per-component finite-difference driver; batching the
+# perturbations, or computing a loss's gradient only when it is read, must
+# not move a digit. The mlp_backward line also holds the hidden weight
+# matrices' directional errors, so it depends on the direction stream.
 GRADCHECK_GOLDEN = (
     "ce_loss        max err 1.231e-08  tol 1e-04  PASS\n"
     "iou_loss       max err 3.659e-09  tol 1e-04  PASS\n"
     "ssim_loss      max err 1.606e-09  tol 1e-03  PASS\n"
     "total_loss     max err 1.098e-08  tol 1e-03  PASS\n"
     "gelu           max err 3.426e-09  tol 1e-04  PASS\n"
-    "mlp_backward   max err 2.967e-06  tol 1e-04  PASS\n"
+    "mlp_backward   max err 6.154e-07  tol 1e-04  PASS\n"
 )
 
 
@@ -600,7 +603,7 @@ GRADCHECK_FULL_GOLDEN = (
     "ssim_loss      max err 5.230e-09  tol 1e-03  PASS\n"
     "total_loss     max err 1.110e-08  tol 1e-03  PASS\n"
     "gelu           max err 6.770e-09  tol 1e-04  PASS\n"
-    "mlp_backward   max err 3.568e-05  tol 1e-04  PASS\n"
+    "mlp_backward   max err 1.775e-05  tol 1e-04  PASS\n"
 )
 
 
@@ -628,6 +631,8 @@ def test_gradcheck_full_audit_stdout_matches_golden(capsys):
         ["filter", "in", "out", "--margin", "wide"],
         ["synth", "scene.json", "out", "--sequences", "1.5"],
         ["train-pt", "corpus", "--out", "w.tvck", "--lr", "inf"],
+        ["gradcheck", "--size", str(MAX_GRADCHECK_SIZE + 1)],
+        ["gradcheck", "--size", "1" + "0" * 400],
     ],
 )
 def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypatch, capsys):
@@ -843,6 +848,24 @@ def test_failing_eval_exits_2_without_loading_other_error_modules(tmp_path):
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert proc.stderr == f"error: {missing}: not a directory\n"
     assert not loaded & {"voskit.synth", "voskit.checkpoint"}, loaded
+
+
+def test_oversized_gradcheck_grid_exits_2_before_any_check():
+    # argparse rejects the size, so no check runs and nothing is allocated:
+    # the gradient modules never load.
+    proc = fresh_interpreter(
+        "from voskit.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        f"    {LOADED_VOSKIT}\n"
+        "    sys.exit(exc.code)",
+        "gradcheck", "--seeds", "1", "--size", "100000",
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert f"argument --size: must be at most {MAX_GRADCHECK_SIZE}, got 100000" in proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert not loaded & {"voskit.gradcheck", "voskit.losses", "voskit.motion_mlp"}, loaded
 
 
 def test_every_malformed_input_error_is_an_input_error():

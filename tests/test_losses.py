@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from hashlib import sha256
 
 import numpy as np
@@ -322,7 +325,9 @@ def test_check_mlp_reports_a_nan_component_error_as_failure(monkeypatch):
 
 
 def reference_check_mlp(seed):
-    """The per-component loop check_mlp ran before it called central_diff."""
+    """The per-component loop check_mlp ran before it called central_diff,
+    over the parts it still checks component by component: every bias and
+    the first and last weight matrices. Returns {(layer, key): error}."""
     params = gradcheck._randomized_params(seed)
     rng = Rng(seed + 77)
     x = rng.uniform_range(-1.0, 1.0, gradcheck.MLP_BATCH * 4).reshape(gradcheck.MLP_BATCH, 4)
@@ -334,15 +339,16 @@ def reference_check_mlp(seed):
         value, _ = mlp_forward(params, x)
         return float(np.sum(value * c))
 
-    stride, eps = gradcheck.HIDDEN_WEIGHT_STRIDE, gradcheck.FD_EPS
-    errors = []
+    eps = gradcheck.FD_EPS
+    errors = {}
     for i, layer in enumerate(params):
         for key in ("weight", "bias"):
+            if key == "weight" and i not in (0, len(params) - 1):
+                continue
             arr = layer[key].reshape(-1)
             expected = analytic[i][key].reshape(-1)
-            exhaustive = key == "bias" or i in (0, len(params) - 1)
-            indices = range(arr.size) if exhaustive else range(seed % stride, arr.size, stride)
-            for j in indices:
+            part = []
+            for j in range(arr.size):
                 orig = arr[j]
                 arr[j] = orig + eps
                 fp = scalar()
@@ -350,14 +356,96 @@ def reference_check_mlp(seed):
                 fm = scalar()
                 arr[j] = orig
                 numeric = (fp - fm) / (2.0 * eps)
-                errors.append(max_err(expected[j : j + 1], np.array([numeric])))
-    return float(np.max(errors))
+                part.append(max_err(expected[j : j + 1], np.array([numeric])))
+            errors[i, key] = float(np.max(part))
+    return errors
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_check_mlp_equals_per_component_reference(seed):
-    # The seeds start the hidden-weight stride at three different offsets.
-    assert gradcheck.check_mlp(seed) == reference_check_mlp(seed)
+def test_check_mlp_exhaustive_parts_equal_per_component_reference(seed, monkeypatch):
+    # Record each part's max_err call: (size of the compared arrays, error),
+    # in the order check_mlp checks the parts.
+    calls = []
+    real = gradcheck.max_err
+
+    def recorded(analytic, numeric):
+        calls.append((np.size(analytic), real(analytic, numeric)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gradcheck, "max_err", recorded)
+    worst = gradcheck.check_mlp(seed)
+    parts = [(i, key) for i in range(len(gradcheck.LAYER_SIZES) - 1) for key in ("weight", "bias")]
+    assert len(calls) == len(parts)
+    assert worst == max(err for _, err in calls)
+    checked = dict(zip(parts, calls))
+
+    reference = reference_check_mlp(seed)
+    assert {part: checked[part][1] for part in reference} == reference
+    # The parts left out of the reference are the hidden weight matrices,
+    # each checked along MLP_DIRECTIONS directions.
+    hidden = set(checked) - set(reference)
+    assert hidden == {(1, "weight"), (2, "weight"), (3, "weight")}
+    assert all(checked[part][0] == gradcheck.MLP_DIRECTIONS for part in hidden)
+
+
+# Defects of the analytic gradient of one hidden weight matrix: one entry off
+# by 10% or by 1% of the largest entry, one row off by 1%, and the matrix
+# transposed. On seeds 0, 3 and 11 a check of every seventh entry, offset by
+# seed % 7, does not reach entry [5, 7].
+MLP_MUTANTS = {
+    "entry_x1.1": lambda g: g.__setitem__((5, 7), g[5, 7] * 1.1),
+    "entry_plus_1pct_of_max": lambda g: g.__setitem__((5, 7), g[5, 7] + 0.01 * np.abs(g).max()),
+    "row_x1.01": lambda g: g.__setitem__(5, g[5] * 1.01),
+    "transpose": lambda g: g.__setitem__(Ellipsis, g.T.copy()),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("mutant", sorted(MLP_MUTANTS))
+@pytest.mark.parametrize("layer", [1, 2, 3])
+def test_check_mlp_catches_every_hidden_weight_mutant(layer, mutant, seed, monkeypatch):
+    real = gradcheck.mlp_backward
+
+    def mutated(params, cache, grad_out):
+        grads = real(params, cache, grad_out)
+        MLP_MUTANTS[mutant](grads[layer]["weight"])
+        return grads
+
+    monkeypatch.setattr(gradcheck, "mlp_backward", mutated)
+    assert gradcheck.check_mlp(seed) >= gradcheck.TOLERANCES["mlp_backward"]
+
+
+def test_sign_directions_use_every_bit_of_each_draw():
+    # 32 x 35 = 1120 signs: all 64 bits of 17 draws and 32 of the 18th.
+    shape = (5, 7)
+    n = gradcheck.MLP_DIRECTIONS * 35
+    directions = gradcheck.sign_directions(Rng(9), shape)
+    assert directions.shape == (gradcheck.MLP_DIRECTIONS, *shape)
+    draws = Rng(9).uint64(-(-n // 64) + 1)
+    j = np.arange(n, dtype=np.uint64)
+    bits = (draws[j // np.uint64(64)] >> (j % np.uint64(64))) & np.uint64(1)
+    assert directions.reshape(-1).tobytes() == (1.0 - 2.0 * bits).tobytes()
+    # The stream continues right after the last draw used.
+    rng = Rng(9)
+    gradcheck.sign_directions(rng, shape)
+    assert rng.uint64(1)[0] == draws[-1]
+
+
+def test_direction_draw_is_deterministic_across_processes():
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(os.path.dirname(gradcheck.__file__))!r})\n"
+        "from hashlib import sha256\n"
+        "from voskit.gradcheck import sign_directions\n"
+        "from voskit.rng import Rng\n"
+        "print(sha256(sign_directions(Rng(12345), (64, 64)).tobytes()).hexdigest())"
+    )
+    digests = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        .stdout.strip()
+        for _ in range(2)
+    }
+    in_process = sha256(gradcheck.sign_directions(Rng(12345), (64, 64)).tobytes()).hexdigest()
+    assert digests == {in_process}
 
 
 def test_ssim_loss_applies_the_window_five_times(monkeypatch):
@@ -370,11 +458,29 @@ def test_ssim_loss_applies_the_window_five_times(monkeypatch):
 
 
 def test_ssim_loss_applies_the_window_adjoint_three_times(monkeypatch):
+    # Only reading the gradient applies the adjoint, and only the first read.
     calls = []
     adjoint = grid.windowed_mean_adjoint
     monkeypatch.setattr(losses, "windowed_mean_adjoint", lambda a: calls.append(1) or adjoint(a))
     pred, target = soft_pair(3, size=8)
-    ssim_loss(pred, target)
+    out = ssim_loss(pred, target)
+    out.value
+    assert len(calls) == 0
+    grad = out.grad
+    assert len(calls) == 3
+    assert out.grad is grad
+    assert len(calls) == 3
+
+
+def test_total_loss_value_computes_no_gradient(monkeypatch):
+    calls = []
+    adjoint = grid.windowed_mean_adjoint
+    monkeypatch.setattr(losses, "windowed_mean_adjoint", lambda a: calls.append(1) or adjoint(a))
+    pred, target = soft_pair(3, size=8)
+    out = total_loss(np.stack([pred, pred[::-1]]), target)
+    out.value
+    assert len(calls) == 0
+    out.grad
     assert len(calls) == 3
 
 
