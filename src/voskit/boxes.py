@@ -30,10 +30,6 @@ class BBox:
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box width/height must be >= 0, got {vals}")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
 

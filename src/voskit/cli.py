@@ -264,15 +264,15 @@ def cmd_transplant(args) -> int:
 
 
 def _at_least(kind, low, at_most=math.inf):
-    """argparse type for a finite ``kind`` number >= low and <= at_most;
-    argparse rejects anything else with exit code 2."""
+    """argparse type for a ``kind`` number >= low and <= at_most, within
+    the finite float range; argparse rejects anything else with exit code 2."""
 
     def parse(text: str):
         value = kind(text)
-        # Compared before math.isfinite, which overflows on a huge int.
         if value > at_most:
             raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {text}")
-        if not (math.isfinite(value) and value >= low):
+        # Exact for an int of any size, where math.isfinite overflows; NaN fails.
+        if not low <= value <= sys.float_info.max:
             raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text}")
         return value
 

@@ -17,7 +17,6 @@ def test_bbox_validates_fields():
         BBox(0, 0, -1, 5)
     with pytest.raises(ValueError):
         BBox(float("nan"), 0, 1, 1)
-    assert BBox(1, 2, 3, 4).area == 12
     assert BBox(1, 2, 3, 4).as_tuple() == (1, 2, 3, 4)
 
 

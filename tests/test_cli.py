@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def tree_bytes(root):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def corpus_mean_j(out):
+    """The mean J of each `eval` summary in ``out``, in order."""
+    return [
+        float(line.rsplit(" ", 1)[1])
+        for line in out.splitlines()
+        if line.startswith("corpus mean J:")
+    ]
 
 
 # --- synth ---
@@ -233,14 +243,23 @@ def test_filter_cv_improves_j(built_corpus, tmp_path, capsys):
         ["eval", filtered, built_corpus],
     ):
         assert run(args) == EXIT_OK
-    out = capsys.readouterr().out
-    j_values = [
-        float(line.rsplit(" ", 1)[1])
-        for line in out.splitlines()
-        if line.startswith("corpus mean J:")
-    ]
-    assert len(j_values) == 2
-    assert j_values[1] > j_values[0]
+    corrupted_j, filtered_j = corpus_mean_j(capsys.readouterr().out)
+    assert filtered_j > corrupted_j
+
+
+def test_readme_pipeline_lifts_mean_j(tmp_path, capsys):
+    # The scene and commands of README's "CLI pipeline" section: filtering
+    # must lift mean J, as the README says.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    scene = readme.split("cat > scene.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    (tmp_path / "scene.json").write_text(scene)
+    corpus_dir, filtered = tmp_path / "corpus", tmp_path / "filtered"
+    assert run(["synth", tmp_path / "scene.json", corpus_dir, "--sequences", "3"]) == EXIT_OK
+    assert run(["filter", corpus_dir, filtered]) == EXIT_OK
+    assert run(["eval", corpus_dir, corpus_dir]) == EXIT_OK
+    assert run(["eval", filtered, corpus_dir, "--report", tmp_path / "report.csv"]) == EXIT_OK
+    corrupted_j, filtered_j = corpus_mean_j(capsys.readouterr().out)
+    assert filtered_j > corrupted_j
 
 
 def test_filter_rerun_is_byte_identical(built_corpus, tmp_path):
@@ -591,9 +610,29 @@ GRADCHECK_GOLDEN = (
 )
 
 
-def test_gradcheck_stdout_matches_golden(capsys):
-    assert run(["gradcheck", "--seeds", "2", "--size", "16"]) == EXIT_OK
-    assert capsys.readouterr().out == GRADCHECK_GOLDEN
+# The stdout of `gradcheck --seed 1 --seeds 5 --size 16`, the benchmark's
+# gradient-audit stage.
+GRADCHECK_AUDIT_GOLDEN = (
+    "ce_loss        max err 1.324e-08  tol 1e-04  PASS\n"
+    "iou_loss       max err 3.930e-09  tol 1e-04  PASS\n"
+    "ssim_loss      max err 1.856e-09  tol 1e-03  PASS\n"
+    "total_loss     max err 1.098e-08  tol 1e-03  PASS\n"
+    "gelu           max err 6.770e-09  tol 1e-04  PASS\n"
+    "mlp_backward   max err 9.187e-07  tol 1e-04  PASS\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["gradcheck", "--seeds", "2", "--size", "16"], GRADCHECK_GOLDEN),
+        (["gradcheck", "--seed", "1", "--seeds", "5", "--size", "16"], GRADCHECK_AUDIT_GOLDEN),
+    ],
+    ids=["seeds2", "gradient-audit"],
+)
+def test_gradcheck_stdout_matches_golden(argv, golden, capsys):
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out == golden
 
 
 # The stdout of `gradcheck --seeds 10`, the full audit the README documents.
@@ -633,6 +672,10 @@ def test_gradcheck_full_audit_stdout_matches_golden(capsys):
         ["train-pt", "corpus", "--out", "w.tvck", "--lr", "inf"],
         ["gradcheck", "--size", str(MAX_GRADCHECK_SIZE + 1)],
         ["gradcheck", "--size", "1" + "0" * 400],
+        ["gradcheck", "--seeds", "1" + "0" * 400],
+        ["train-pt", "corpus", "--out", "w.tvck", "--epochs", "1" + "0" * 400],
+        ["train-pt", "corpus", "--out", "w.tvck", "--batch", "1" + "0" * 400],
+        ["synth", "scene.json", "out", "--sequences", "1" + "0" * 400],
     ],
 )
 def test_malformed_numeric_option_exits_2_at_parse_time(argv, tmp_path, monkeypatch, capsys):

@@ -392,7 +392,7 @@ def reference_pt_loss(pred_motion, target_motion, prev_box: BBox, lambda_small=2
     value, grad = smooth_l1(pred_motion - target_motion)
     pred_box = apply_motion(prev_box, Motion(*pred_motion))
     target_box = apply_motion(prev_box, Motion(*target_motion))
-    scale = lambda_small if pred_box.area < target_box.area else 1.0
+    scale = lambda_small if pred_box.w * pred_box.h < target_box.w * target_box.h else 1.0
     return scale * float(value.mean()), scale * grad / 4.0
 
 
