@@ -77,9 +77,12 @@ def cmd_synth(args) -> int:
     # A scene error names the scene file, whether parsing or rendering meets it.
     try:
         with open(args.scene) as fh:
-            base = synth.scene_from_json(json.load(fh))
-        _write_synth_corpus(base, args)
-    except (json.JSONDecodeError, UnicodeDecodeError, synth.SceneError) as exc:
+            try:
+                scene = json.load(fh)
+            except ValueError as exc:  # not UTF-8 or JSON, or an integer past int's digit limit
+                raise synth.SceneError(str(exc)) from exc
+        _write_synth_corpus(synth.scene_from_json(scene), args)
+    except synth.SceneError as exc:
         raise synth.SceneError(f"{args.scene}: {exc}") from exc
     print(f"wrote {args.sequences} sequence(s) to {args.out}")
     return EXIT_OK
@@ -218,18 +221,25 @@ def cmd_train_pt(args) -> int:
     if not triples:
         raise corpus.CorpusError("no training examples (need runs of 3 boxes)")
     predictor = MotionPredictor.for_frame(dims[0], dims[1], seed=args.seed)
-    history = train_pt(
-        predictor,
-        triples,
-        epochs=args.epochs,
-        batch=args.batch,
-        lr=args.lr,
-        lambda_small=args.lambda_small,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-    )
+    # The corpus and every option are valid by now, so a ValueError means the
+    # model left the finite range: pt_loss met a non-finite prediction, or
+    # the float32 store fails the check that `filter --variant pt` loads with.
+    try:
+        history = train_pt(
+            predictor,
+            triples,
+            epochs=args.epochs,
+            batch=args.batch,
+            lr=args.lr,
+            lambda_small=args.lambda_small,
+            weight_decay=args.weight_decay,
+            seed=args.seed,
+        )
+        store = checkpoint.ParamStore.from_items(predictor.param_items())
+        MotionPredictor.from_param_items(dict(store.items()))
+    except ValueError as exc:
+        raise corpus.InputError(f"training diverged ({exc}); lower --lr or --weight-decay") from exc
     final = history[-1] if history else dataset_loss(predictor, triples, args.lambda_small)
-    store = checkpoint.ParamStore.from_items(predictor.param_items())
     checkpoint.save(store, args.out)
     print(f"examples: {len(triples)}")
     print(f"final train loss: {final:.6f}")

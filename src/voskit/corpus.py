@@ -63,7 +63,10 @@ def _read_header_tokens(blob: bytes, path) -> tuple[list[int], int]:
             start = pos
             while pos < len(blob) and blob[pos : pos + 1].isdigit():
                 pos += 1
-            tokens.append(int(blob[start:pos]))
+            try:
+                tokens.append(int(blob[start:pos]))
+            except ValueError:  # more digits than int() converts
+                raise CorpusError(f"{path}: {pos - start}-digit number in PGM header") from None
         else:
             raise CorpusError(f"{path}: unexpected byte {c!r} in PGM header")
     if pos >= len(blob) or not blob[pos : pos + 1].isspace():

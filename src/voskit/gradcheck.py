@@ -1,13 +1,14 @@
 """Finite-difference validation of every analytic gradient in the package.
 
 Each check builds a random smooth instance, computes the analytic gradient,
-and compares it against central differences. The loss, GeLU and MLP bias
-gradients, and the first and last MLP weight matrices, are checked
-component by component; the hidden MLP weight matrices are checked along
-random +-1 directions, each difference compared with the analytic
-gradient's inner product with its direction. The differences are batched:
-one call of the checked function scores a whole stack of perturbed copies
-of its input. The error measure is relative where the gradient is
+and compares it against central differences from one driver,
+``central_diff``, along a set of directions. The loss, GeLU and MLP bias
+gradients, and the first and last MLP weight matrices, are checked along
+unit directions, component by component; the hidden MLP weight matrices
+are checked along random +-1 directions, each difference compared with the
+analytic gradient's inner product with its direction. The differences are
+batched: one call of the checked function scores a whole stack of perturbed
+copies of its input. The error measure is relative where the gradient is
 meaningfully sized and absolute below a floor, so near-zero components
 cannot blow up the ratio.
 """
@@ -41,45 +42,33 @@ TOLERANCES = {
 FD_CHUNK = 32
 
 
-def central_diff(f, x: np.ndarray, picks=slice(None)) -> np.ndarray:
-    """Central finite differences of a scalar function f at x, for the
-    components ``x.reshape(-1)[picks]``; returns them as a 1-D array.
-
-    f is called on stacks of perturbed copies of x, shape (2k, *x.shape),
-    and returns one value per copy. The picked components go k <= FD_CHUNK
-    at a time: copy j holds +FD_EPS on the j-th component of the chunk and
-    copy k + j holds -FD_EPS on it. x itself is not modified.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    cols = np.arange(flat.size)[picks]
-    grad = np.empty(cols.size)
-    for start in range(0, cols.size, FD_CHUNK):
-        chunk = cols[start : start + FD_CHUNK]
-        k = chunk.size
-        rows = np.arange(k)
-        stack = np.empty((2 * k, flat.size))
-        stack[...] = flat
-        stack[rows, chunk] += FD_EPS
-        stack[rows + k, chunk] -= FD_EPS
-        values = np.asarray(f(stack.reshape(2 * k, *x.shape)), dtype=np.float64)
-        grad[start : start + k] = (values[:k] - values[k:]) / (2.0 * FD_EPS)
-    return grad
-
-
-def directional_diff(f, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+def central_diff(f, x: np.ndarray, directions=None) -> np.ndarray:
     """Central finite differences of a scalar function f at x along each of
     the k arrays in ``directions`` (shape (k, *x.shape)); returns k values.
+    By default the directions are the unit vectors of x's components, in
+    order, and the values are the gradient, flattened.
 
-    f is called once, on the stack of 2k copies whose first k hold
-    x + FD_EPS*V and last k hold x - FD_EPS*V for each direction V."""
-    k = len(directions)
-    stack = np.empty((2 * k, *x.shape))
-    np.multiply(directions, FD_EPS, out=stack[:k])
-    np.subtract(x, stack[:k], out=stack[k:])
-    stack[:k] += x
-    values = np.asarray(f(stack), dtype=np.float64)
-    return (values[:k] - values[k:]) / (2.0 * FD_EPS)
+    f is called on stacks of perturbed copies of x, shape (2m, *x.shape),
+    and returns one value per copy. The directions go m <= FD_CHUNK at a
+    time: copy j holds x + FD_EPS*V for the chunk's j-th direction V and
+    copy m + j holds x - FD_EPS*V. x itself is not modified.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k = x.size if directions is None else len(directions)
+    grad = np.empty(k)
+    for start in range(0, k, FD_CHUNK):
+        m = min(FD_CHUNK, k - start)
+        if directions is None:
+            chunk = np.eye(m, x.size, start).reshape(m, *x.shape)
+        else:
+            chunk = directions[start : start + m]
+        stack = np.empty((2 * m, *x.shape))
+        np.multiply(chunk, FD_EPS, out=stack[:m])
+        np.subtract(x, stack[:m], out=stack[m:])
+        stack[:m] += x
+        values = np.asarray(f(stack), dtype=np.float64)
+        grad[start : start + m] = (values[:m] - values[m:]) / (2.0 * FD_EPS)
+    return grad
 
 
 def max_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -185,26 +174,21 @@ def check_mlp(seed: int, size: int = 0) -> float:
 
     def score(i: int, name: str, stack: np.ndarray) -> np.ndarray:
         """sum(output * c) with layer i's ``name`` replaced by each entry of
-        a stack."""
+        a stack; a bias entry broadcasts over the batch."""
+        if name == "bias":
+            stack = stack[:, None, :]
         replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
         return np.sum(mlp_forward(replaced, x)[0] * c, axis=(-2, -1))
 
-    last = len(params) - 1
     errors = []
     for i, layer in enumerate(params):
-        w, grad_w = layer["weight"], analytic[i]["weight"]
-        if i in (0, last):
-            numeric = central_diff(lambda v: score(i, "weight", v), w)
-            errors.append(max_err(grad_w, numeric))
-        else:
-            directions = sign_directions(rng, w.shape)
-            numeric = directional_diff(lambda v: score(i, "weight", v), w, directions)
-            projected = directions.reshape(len(directions), -1) @ grad_w.reshape(-1)
-            errors.append(max_err(projected, numeric))
-            # Two layers' directions alive at once would raise peak RSS.
-            del directions
-        numeric = central_diff(lambda b: score(i, "bias", b[:, None, :]), layer["bias"])
-        errors.append(max_err(analytic[i]["bias"], numeric))
+        for name in ("weight", "bias"):
+            grad, directions = analytic[i][name], None
+            if name == "weight" and i not in (0, len(params) - 1):
+                directions = sign_directions(rng, grad.shape)
+                grad = directions.reshape(len(directions), -1) @ grad.reshape(-1)
+            numeric = central_diff(lambda v: score(i, name, v), layer[name], directions)
+            errors.append(max_err(grad, numeric))
     # np.max, not max(): a NaN error must fail the check, not vanish.
     return float(np.max(errors))
 

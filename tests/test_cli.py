@@ -111,7 +111,8 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
     # A section that is not a JSON object, a height JSON reads as inf, a
     # motion JSON reads as inf or that names a NaN, a float key given a
     # NaN, a boolean or a string, and a box covering the frame at
-    # x = -1e308 whose x overflows to -inf at frame 2.
+    # x = -1e308 whose x overflows to -inf at frame 2, and a height with more
+    # digits than int() converts.
     linear = dict(SCENE["objects"][0], motion="linear")
     wide = {"id": 1, "box": [-1e308, 20, 1.5e308, 6], "motion": {"v": [-1e308, 0]}}
     for text in (
@@ -124,6 +125,7 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
         json.dumps(SCENE).replace('"flip_prob": 0.02', '"flip_prob": true'),
         json.dumps(SCENE).replace('"v": [3, 1]', '"v": ["3", 1]'),
         json.dumps(dict(SCENE, objects=[wide])),
+        json.dumps(SCENE).replace('"height": 60', '"height": ' + "1" * 5000),
     ):
         (tmp_path / "scene.json").write_text(text)
         capsys.readouterr()
@@ -566,6 +568,17 @@ def test_train_pt_weights_load_into_filter(built_corpus, tmp_path):
         for line in (filtered / seq / "tracks.csv").read_text().splitlines()[1:]
     }
     assert "pt" in sources
+
+
+@pytest.mark.parametrize("option", [["--lr", "1e300"], ["--weight-decay", "1e308"]])
+def test_train_pt_that_diverges_exits_2_and_writes_nothing(built_corpus, tmp_path, capsys, option):
+    # --lr 1e300 trains weights that are finite in float64 but overflow the
+    # float32 checkpoint; --weight-decay 1e308 makes the predictions overflow.
+    w = tmp_path / "w.tvck"
+    assert run(["train-pt", built_corpus, "--out", w, "--epochs", "2"] + option) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: training diverged" in err and "--lr or --weight-decay" in err
+    assert not w.exists()
 
 
 def test_train_pt_empty_corpus_exits_2(tmp_path, capsys):

@@ -96,6 +96,13 @@ def test_pgm_rejects_zero_dims(tmp_path, dims):
         read_pgm(path)
 
 
+def test_pgm_rejects_header_number_past_int_digit_limit(tmp_path):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n")
+    with pytest.raises(CorpusError, match="long.pgm: 5000-digit number in PGM header"):
+        read_pgm(path)
+
+
 def _pgm_blob() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/m.pgm"

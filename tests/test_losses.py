@@ -270,18 +270,37 @@ def test_total_gradient_fd_nontrivial_weights():
 @given(
     name=st.sampled_from(sorted(STACKED_LOSSES)),
     size=st.integers(1, 12),
-    start=st.integers(0, 6),
-    stride=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_central_diff_equals_reference_on_losses(name, size, start, stride, seed):
+def test_batched_central_diff_equals_reference_on_losses(name, size, seed):
     # Up to 144 components: several FD_CHUNK chunks and a ragged last one.
     loss_fn = STACKED_LOSSES[name]
     pred, target = soft_pair(seed, size=size)
-    picks = slice(start, None, stride)
-    batched = gradcheck.central_diff(lambda p: loss_fn(p, target).value, pred, picks)
+    batched = gradcheck.central_diff(lambda p: loss_fn(p, target).value, pred)
     reference = central_diff(lambda p: loss_fn(p, target).value, pred.copy())
-    assert batched.tobytes() == reference.reshape(-1)[picks].tobytes()
+    assert batched.tobytes() == reference.reshape(-1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACKED_LOSSES)),
+    size=st.integers(1, 12),
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_central_diff_along_sign_directions_equals_per_direction_reference(name, size, k, seed):
+    # Each direction V on its own: the reference driver on t -> f(x + t[0]*V)
+    # at t = 0. Up to 40 directions: a full FD_CHUNK chunk and a ragged one.
+    loss_fn = STACKED_LOSSES[name]
+    pred, target = soft_pair(seed, size=size)
+    signs = Rng(seed ^ 0xD1).uniform(k * size * size) < 0.5
+    directions = np.where(signs, -1.0, 1.0).reshape(k, size, size)
+    batched = gradcheck.central_diff(lambda p: loss_fn(p, target).value, pred, directions)
+    reference = [
+        central_diff(lambda t: loss_fn(pred + t[0] * v, target).value, np.zeros(1))[0]
+        for v in directions
+    ]
+    assert batched.tobytes() == np.array(reference).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,7 +314,7 @@ def test_batched_central_diff_equals_reference_on_gelu(size, seed):
     assert batched.tobytes() == reference.tobytes()
 
 
-def test_central_diff_batches_picks_and_leaves_x_alone():
+def test_central_diff_batches_directions_and_leaves_x_alone():
     x = np.linspace(-1.0, 1.0, 70)
     before = x.copy()
     stacks = []
@@ -304,10 +323,18 @@ def test_central_diff_batches_picks_and_leaves_x_alone():
         stacks.append(stack.shape)
         return np.sum(stack**2, axis=-1)
 
-    numeric = gradcheck.central_diff(f, x, slice(1, None, 2))
-    assert stacks == [(64, 70), (6, 70)]
-    np.testing.assert_allclose(numeric, 2.0 * x[1::2], rtol=0, atol=1e-8)
+    numeric = gradcheck.central_diff(f, x)
+    assert stacks == [(64, 70), (64, 70), (12, 70)]
+    np.testing.assert_allclose(numeric, 2.0 * x, rtol=0, atol=1e-8)
+
+    stacks.clear()
+    directions = np.where(Rng(4).uniform(40 * 70) < 0.5, -1.0, 1.0).reshape(40, 70)
+    kept = directions.copy()
+    numeric = gradcheck.central_diff(f, x, directions)
+    assert stacks == [(64, 70), (16, 70)]
+    np.testing.assert_allclose(numeric, 2.0 * directions @ x, rtol=0, atol=1e-8)
     assert x.tobytes() == before.tobytes()
+    assert directions.tobytes() == kept.tobytes()
 
 
 def test_gradcheck_reports_a_nan_error_as_failure(monkeypatch):
