@@ -8,14 +8,16 @@ unit directions, component by component; the hidden MLP weight matrices
 are checked along random +-1 directions, each difference compared with the
 analytic gradient's inner product with its direction. The differences are
 batched: one call of the checked function scores a whole stack of perturbed
-copies of its input. The error measure is relative where the gradient is
-meaningfully sized and absolute below a floor, so near-zero components
-cannot blow up the ratio.
+copies of its input. The four loss checks share one pass per seed: one
+``total_loss`` call scores each stack, and its ``terms`` give each term's
+value next to the sum's, so ``central_diff`` returns a row of four
+differences per direction and every stack is scored once. The error
+measure is relative where the gradient is meaningfully sized and absolute
+below a floor, so near-zero components cannot blow up the ratio.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,32 +45,35 @@ FD_CHUNK = 32
 
 
 def central_diff(f, x: np.ndarray, directions=None) -> np.ndarray:
-    """Central finite differences of a scalar function f at x along each of
-    the k arrays in ``directions`` (shape (k, *x.shape)); returns k values.
-    By default the directions are the unit vectors of x's components, in
-    order, and the values are the gradient, flattened.
+    """Central finite differences of a function f at x along each of the k
+    arrays in ``directions`` (shape (k, *x.shape)). By default the
+    directions are the unit vectors of x's components, in order, and the
+    differences are the gradient, flattened.
 
     f is called on stacks of perturbed copies of x, shape (2m, *x.shape),
-    and returns one value per copy. The directions go m <= FD_CHUNK at a
-    time: copy j holds x + FD_EPS*V for the chunk's j-th direction V and
-    copy m + j holds x - FD_EPS*V. x itself is not modified.
+    and returns one value per copy, shape (2m,), or a row of q values per
+    copy, shape (2m, q); the result is then (k,) or (k, q). The directions
+    go m <= FD_CHUNK at a time: copy j holds x + FD_EPS*V for the chunk's
+    j-th direction V and copy m + j holds x - FD_EPS*V. One buffer holds
+    each chunk's copies in turn, and x itself is not modified.
     """
     x = np.asarray(x, dtype=np.float64)
     k = x.size if directions is None else len(directions)
-    grad = np.empty(k)
+    buffer = np.empty((2 * min(FD_CHUNK, k), *x.shape))
+    diffs = []
     for start in range(0, k, FD_CHUNK):
         m = min(FD_CHUNK, k - start)
         if directions is None:
             chunk = np.eye(m, x.size, start).reshape(m, *x.shape)
         else:
             chunk = directions[start : start + m]
-        stack = np.empty((2 * m, *x.shape))
+        stack = buffer[: 2 * m]
         np.multiply(chunk, FD_EPS, out=stack[:m])
         np.subtract(x, stack[:m], out=stack[m:])
         stack[:m] += x
         values = np.asarray(f(stack), dtype=np.float64)
-        grad[start : start + m] = (values[:m] - values[m:]) / (2.0 * FD_EPS)
-    return grad
+        diffs.append((values[:m] - values[m:]) / (2.0 * FD_EPS))
+    return np.concatenate(diffs)
 
 
 def max_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -93,21 +98,25 @@ def _random_instance(seed: int, size: int):
     return pred, target
 
 
-LOSSES = {
-    "ce_loss": losses.ce_loss,
-    "iou_loss": losses.iou_loss,
-    "ssim_loss": losses.ssim_loss,
-    "total_loss": losses.total_loss,
-}
+# The loss gradients one shared pass checks, in report order.
+LOSS_CHECKS = ("ce_loss", "iou_loss", "ssim_loss", "total_loss")
 
 
-def check_loss(name: str, seed: int, size: int) -> float:
-    """FD check of the loss ``LOSSES[name]`` on a random size x size instance."""
-    loss_fn = LOSSES[name]
+def check_losses(seed: int, size: int) -> tuple[float, ...]:
+    """FD check of every loss in LOSS_CHECKS on one random size x size
+    instance; returns their errors in that order. One ``total_loss`` call
+    per perturbed stack scores the sum and, through its terms, each term:
+    the terms' differences are those of the terms called alone, and the
+    total check still scores ``total_loss`` itself."""
     pred, target = _random_instance(seed, size)
-    analytic = loss_fn(pred, target).grad
-    numeric = central_diff(lambda p: loss_fn(p, target).value, pred)
-    return max_err(analytic, numeric)
+
+    def outputs(p: np.ndarray) -> list[losses.LossOut]:
+        out = losses.total_loss(p, target)
+        scored = {**out.terms, "total_loss": out}
+        return [scored[name] for name in LOSS_CHECKS]
+
+    numeric = central_diff(lambda p: np.stack([o.value for o in outputs(p)], axis=-1), pred)
+    return tuple(max_err(o.grad, numeric[:, j]) for j, o in enumerate(outputs(pred)))
 
 
 def check_gelu(seed: int, size: int) -> float:
@@ -204,11 +213,12 @@ class CheckResult:
         return self.max_err < self.tol
 
 
-# name -> check(seed, size) returning the worst componentwise error.
+# Names -> check(seed, size) returning the worst componentwise error of
+# each named gradient, in order (a float for a single name).
 CHECKS = {
-    **{name: functools.partial(check_loss, name) for name in LOSSES},
-    "gelu": check_gelu,
-    "mlp_backward": check_mlp,
+    LOSS_CHECKS: check_losses,
+    ("gelu",): check_gelu,
+    ("mlp_backward",): check_mlp,
 }
 
 
@@ -217,11 +227,11 @@ def run_all(base_seed: int = 0, n_seeds: int = 10, size: int = 16) -> list[Check
     worst seed's worst component (NaN if any seed's error is NaN)."""
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
-    return [
-        CheckResult(
-            name=name,
-            max_err=float(np.max([check(base_seed + k, size) for k in range(n_seeds)])),
-            tol=TOLERANCES[name],
-        )
-        for name, check in CHECKS.items()
-    ]
+    results = []
+    for names, check in CHECKS.items():
+        errors = np.array([np.atleast_1d(check(base_seed + k, size)) for k in range(n_seeds)])
+        results += [
+            CheckResult(name=name, max_err=float(worst), tol=TOLERANCES[name])
+            for name, worst in zip(names, np.max(errors, axis=0), strict=True)
+        ]
+    return results

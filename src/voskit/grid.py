@@ -82,14 +82,23 @@ def windowed_statistics(
 
     Each variance is E[x^2] - E[x]^2, clamped at 0 to absorb cancellation
     noise on locally constant input; the covariance is E[ab] - E[a]E[b],
-    reusing the two means.
+    reusing the two means. Each product's buffer then holds the product of
+    means that its windowed mean is reduced by.
     """
     a = as_grid(a)
     b = as_grid(b)
     check_same_shape(a, b)
     mu_a = windowed_mean(a)
-    var_a = np.maximum(windowed_mean(a * a) - mu_a * mu_a, 0.0)
+    sq = a * a
+    var_a = windowed_mean(sq)
+    var_a -= np.multiply(mu_a, mu_a, out=sq)
+    np.maximum(var_a, 0.0, out=var_a)
     mu_b = windowed_mean(b)
-    var_b = np.maximum(windowed_mean(b * b) - mu_b * mu_b, 0.0)
-    cov = windowed_mean(a * b) - mu_a * mu_b
+    sq = b * b
+    var_b = windowed_mean(sq)
+    var_b -= np.multiply(mu_b, mu_b, out=sq)
+    np.maximum(var_b, 0.0, out=var_b)
+    ab = a * b
+    cov = windowed_mean(ab)
+    cov -= np.multiply(mu_a, mu_b, out=ab)
     return mu_a, mu_b, var_a, var_b, cov

@@ -9,13 +9,17 @@ scale-free across resolutions:
                        compare local structure, not pixels
 * soft IoU             1 - sum(p*t) / (sum(p + t - p*t) + eps)
 
-``total_loss`` combines them with nonnegative weights. Every loss returns
+``total_loss`` combines them with nonnegative weights, and its output's
+``terms`` holds each term's own output, keyed by loss name, so one call
+yields every term's value as well as the sum's. Every loss returns
 its value and the exact derivative with respect to the prediction map,
 computed when first read, so the terms can drive gradient descent without
 an autograd framework and a value alone costs no gradient.
 Every loss also scores a stack of predictions (..., H, W) against one
 (H, W) target in one call: the values are an array over the leading axes,
-each equal bit for bit to the float the slice alone would score.
+each equal bit for bit to the float the slice alone would score. The CE and
+SSIM values are built in place in a few stack-sized buffers, and a value
+holds only the arrays its gradient reads.
 ``fit_toy_segmenter`` is a minimal end-to-end consumer: a per-pixel logistic
 model trained by plain gradient descent on the combined loss.
 """
@@ -44,10 +48,12 @@ class LossOut:
     ``grad`` is computed by ``grad_fn`` on first access and then cached. It
     reads the prediction and target arrays the loss was given, not copies:
     write to them after scoring and the gradient no longer matches the
-    value."""
+    value. ``terms`` holds the outputs of the terms a combined loss summed,
+    keyed by loss name (``"ce_loss"``, ...); it is empty for a single term."""
 
     value: float | np.ndarray
     grad_fn: Callable[[], np.ndarray] = field(repr=False)
+    terms: dict[str, LossOut] = field(default_factory=dict, repr=False)
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
@@ -99,10 +105,19 @@ def ce_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     """
     p, t = _check_pair(pred, target)
     _check_binary(t)
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    value = -np.mean(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc), axis=(-2, -1))
+    # t*ln(pc) + (1-t)*ln(1-pc), built in the clamped copy and one buffer.
+    s = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    r = np.subtract(1.0, s)
+    np.log(s, out=s)
+    s *= t
+    np.log(r, out=r)
+    r *= 1.0 - t
+    s += r
+    value = -np.mean(s, axis=(-2, -1))
 
     def grad():
+        # The clamp again: the value holds no stack-sized array for it.
+        pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
         g = (-t / pc + (1.0 - t) / (1.0 - pc)) / t.size
         g[(p < CLAMP_EPS) | (p > 1.0 - CLAMP_EPS)] = 0.0
         return g
@@ -146,11 +161,23 @@ def ssim_loss(pred: np.ndarray, target: np.ndarray) -> LossOut:
     p, t = _check_pair(pred, target)
     mu_p, mu_t, var_p, var_t, cov = windowed_statistics(p, t)
 
-    a1 = 2.0 * mu_p * mu_t + SSIM_C1
-    a2 = 2.0 * cov + SSIM_C2
-    b1 = mu_p * mu_p + mu_t * mu_t + SSIM_C1
-    b2 = var_p + var_t + SSIM_C2
-    ssim_map = (a1 * a2) / (b1 * b2)
+    # a1 = 2 mu_p mu_t + C1, a2 = 2 cov + C2, b1 = mu_p^2 + mu_t^2 + C1 and
+    # b2 = var_p + var_t + C2, each built in place; a2 reuses cov's buffer
+    # and b2 var_p's.
+    a1 = 2.0 * mu_p
+    a1 *= mu_t
+    a1 += SSIM_C1
+    a2 = cov
+    a2 *= 2.0
+    a2 += SSIM_C2
+    b1 = mu_p * mu_p
+    b1 += mu_t * mu_t
+    b1 += SSIM_C1
+    b2 = var_p
+    b2 += var_t
+    b2 += SSIM_C2
+    ssim_map = a1 * a2
+    ssim_map /= b1 * b2
     value = 1.0 - np.mean(ssim_map, axis=(-2, -1))
 
     def grad():
@@ -175,28 +202,30 @@ def total_loss(
     weights: LossWeights = LossWeights(),
 ) -> LossOut:
     """Weighted sum of the three loss terms; terms with weight 0 are skipped
-    so the projections onto a single term are bit-exact."""
+    so the projections onto a single term are bit-exact. The output's
+    ``terms`` holds each scored term's own output, so one call yields every
+    term's value and gradient as well as the sum's."""
     p, t = _check_pair(pred, target)
-    terms = [
-        (lam, loss(p, t))
-        for lam, loss in (
-            (weights.lambda_ce, ce_loss),
-            (weights.lambda_ssim, ssim_loss),
-            (weights.lambda_iou, iou_loss),
+    terms = {
+        name: (lam, loss(p, t))
+        for name, lam, loss in (
+            ("ce_loss", weights.lambda_ce, ce_loss),
+            ("ssim_loss", weights.lambda_ssim, ssim_loss),
+            ("iou_loss", weights.lambda_iou, iou_loss),
         )
         if lam != 0.0
-    ]
+    }
     value = 0.0
-    for lam, out in terms:
+    for lam, out in terms.values():
         value += lam * out.value
 
     def grad():
         g = np.zeros_like(p)
-        for lam, out in terms:
+        for lam, out in terms.values():
             g += lam * out.grad
         return g
 
-    return LossOut(value, grad)
+    return LossOut(value, grad, {name: out for name, (_, out) in terms.items()})
 
 
 def fit_toy_segmenter(

@@ -1,10 +1,13 @@
-"""The per-component finite-difference driver that ``voskit.gradcheck``
-ran before it batched perturbations: the slow reference the batched
-``central_diff`` must equal bit for bit, and the driver of the FD tests."""
+"""Slow references for ``voskit.gradcheck``: the per-component
+finite-difference driver it ran before it batched perturbations, which the
+batched ``central_diff`` must equal bit for bit and which drives the FD
+tests; and the per-loss check it ran before one shared loss pass."""
 
 import numpy as np
 
-from voskit.gradcheck import FD_EPS
+from voskit import losses
+from voskit.gradcheck import FD_EPS, _random_instance, max_err
+from voskit.gradcheck import central_diff as batched_central_diff
 
 
 def central_diff(f, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
@@ -23,3 +26,22 @@ def central_diff(f, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+LOSSES = {
+    "ce_loss": losses.ce_loss,
+    "iou_loss": losses.iou_loss,
+    "ssim_loss": losses.ssim_loss,
+    "total_loss": losses.total_loss,
+}
+
+
+def check_loss(name: str, seed: int, size: int) -> float:
+    """The per-loss check ``voskit.gradcheck`` ran before one ``total_loss``
+    pass served all four loss checks: the loss ``LOSSES[name]`` alone, its
+    own gradient and its own finite differences on the random instance."""
+    loss_fn = LOSSES[name]
+    pred, target = _random_instance(seed, size)
+    analytic = loss_fn(pred, target).grad
+    numeric = batched_central_diff(lambda p: loss_fn(p, target).value, pred)
+    return max_err(analytic, numeric)

@@ -133,6 +133,19 @@ def test_synth_unknown_scene_key_exits_2(tmp_path, capsys):
         assert "internal" not in capsys.readouterr().err
 
 
+def test_synth_number_past_the_int_digit_limit_exits_2_naming_its_length(tmp_path, capsys):
+    # The error names the number's length, not the interpreter setting that
+    # would lift the limit.
+    scene = tmp_path / "scene.json"
+    for sign in ("", "-"):
+        height = f'"height": {sign}' + "1" * 5000
+        scene.write_text(json.dumps(SCENE).replace('"height": 60', height))
+        assert run(["synth", scene, tmp_path / "out"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {scene}: 5000-digit number has too many digits\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_oversized_frame_exits_2_before_rendering(tmp_path, capsys, monkeypatch):
     def render(cfg):
         raise AssertionError(f"rendered a {cfg.height}x{cfg.width} scene")
@@ -581,6 +594,17 @@ def test_train_pt_that_diverges_exits_2_and_writes_nothing(built_corpus, tmp_pat
     assert not w.exists()
 
 
+@pytest.mark.parametrize("option", [["--lr", "1e300"], ["--weight-decay", "1e308"]])
+def test_train_pt_that_diverges_prints_one_error_line(built_corpus, tmp_path, option):
+    # In a fresh interpreter, where numpy's overflow warnings would reach
+    # stderr: the error line is all that is printed.
+    w = tmp_path / "w.tvck"
+    proc, _ = fresh_main(["train-pt", built_corpus, "--out", w, "--epochs", "2", *option])
+    assert proc.returncode == EXIT_INPUT
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: training diverged"), proc.stderr
+
+
 def test_train_pt_empty_corpus_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -835,7 +859,7 @@ def test_package_root_imports_no_submodule():
     assert proc.stdout.strip() == f"{voskit.__version__} []", proc.stderr
 
 
-CLI_IMPORT_MODULES = {"voskit", "voskit.cli", "voskit.corpus", "voskit.tracker", "voskit.boxes"}
+CLI_IMPORT_MODULES = {"voskit", "voskit.cli", "voskit.corpus"}
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(built_corpus, tmp_path):
@@ -846,15 +870,16 @@ def test_each_subcommand_loads_only_the_modules_it_runs(built_corpus, tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     for name in ("synth", "gradcheck", "losses", "grid", "motion_mlp", "checkpoint"):
         assert f"voskit.{name}" not in loaded
+    assert not loaded & {"voskit.tracker", "voskit.boxes"}, loaded
 
     proc, loaded = fresh_main(["gradcheck", "--seeds", "1", "--size", "8"])
     assert proc.returncode == EXIT_OK, proc.stderr
-    for name in ("synth", "metrics", "checkpoint"):
+    for name in ("synth", "metrics", "checkpoint", "tracker"):
         assert f"voskit.{name}" not in loaded
 
     proc, loaded = fresh_main(["filter", built_corpus, tmp_path / "filtered"])
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert loaded == CLI_IMPORT_MODULES
+    assert loaded == CLI_IMPORT_MODULES | {"voskit.tracker", "voskit.boxes"}
 
 
 def test_exit_codes_in_a_fresh_interpreter(built_corpus, tmp_path):

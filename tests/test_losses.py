@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from hashlib import sha256
 
 import numpy as np
@@ -26,6 +27,7 @@ from voskit.losses import (
 from voskit.motion_mlp import gelu, mlp_backward, mlp_forward
 from voskit.rng import Rng
 
+import fd_reference
 from fd_reference import central_diff
 
 
@@ -338,17 +340,94 @@ def test_central_diff_batches_directions_and_leaves_x_alone():
 
 
 def test_gradcheck_reports_a_nan_error_as_failure(monkeypatch):
-    monkeypatch.setattr(gradcheck, "CHECKS", {"gelu": lambda seed, size: float("nan")})
-    [result] = gradcheck.run_all(n_seeds=2, size=4)
-    assert not result.ok
+    # A NaN from the last seed fails its name alone, after a first seed that
+    # scored 0 (the builtin max would keep the 0), both for a check that
+    # returns one error and for one that returns a row of them.
+    def losses_check(seed, size):
+        return (0.0, float("nan") if seed == 1 else 0.0, 0.0, 0.0)
+
+    def gelu_check(seed, size):
+        return float("nan") if seed == 1 else 0.0
+
+    checks = {gradcheck.LOSS_CHECKS: losses_check, ("gelu",): gelu_check}
+    monkeypatch.setattr(gradcheck, "CHECKS", checks)
+    results = gradcheck.run_all(n_seeds=2, size=4)
+    assert [r.name for r in results] == [*gradcheck.LOSS_CHECKS, "gelu"]
+    assert [r.ok for r in results] == [True, False, True, True, False]
+    assert [math.isnan(r.max_err) for r in results] == [False, True, False, False, True]
 
 
 def test_check_mlp_reports_a_nan_component_error_as_failure(monkeypatch):
     monkeypatch.setattr(gradcheck, "max_err", lambda analytic, numeric: float("nan"))
-    monkeypatch.setattr(gradcheck, "CHECKS", {"mlp_backward": gradcheck.check_mlp})
+    monkeypatch.setattr(gradcheck, "CHECKS", {("mlp_backward",): gradcheck.check_mlp})
     [result] = gradcheck.run_all(n_seeds=1)
     assert math.isnan(result.max_err)
     assert not result.ok
+
+
+@pytest.mark.parametrize("bad", range(len(gradcheck.LOSS_CHECKS)))
+def test_check_losses_reports_a_nan_component_error_as_failure(bad, monkeypatch):
+    # The shared loss pass keeps each loss's error apart: a NaN in one fails
+    # that loss alone.
+    real = gradcheck.max_err
+    calls = []
+
+    def nan_once(analytic, numeric):
+        calls.append(1)
+        return float("nan") if len(calls) == bad + 1 else real(analytic, numeric)
+
+    monkeypatch.setattr(gradcheck, "max_err", nan_once)
+    monkeypatch.setattr(gradcheck, "CHECKS", {gradcheck.LOSS_CHECKS: gradcheck.check_losses})
+    results = gradcheck.run_all(n_seeds=1, size=4)
+    assert [r.name for r in results] == list(gradcheck.LOSS_CHECKS)
+    assert [r.ok for r in results] == [k != bad for k in range(len(results))]
+    assert math.isnan(results[bad].max_err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_shared_loss_pass_equals_the_per_loss_reference(size, seed):
+    # One total_loss pass per perturbed stack gives each loss check the
+    # error that scoring the loss alone gave, bit for bit.
+    shared = gradcheck.check_losses(seed, size)
+    reference = [fd_reference.check_loss(name, seed, size) for name in gradcheck.LOSS_CHECKS]
+    assert np.array(shared).tobytes() == np.array(reference).tobytes()
+
+
+def test_audit_scores_each_perturbed_loss_stack_once(monkeypatch):
+    # `gradcheck --seeds 5 --size 16`: per seed, one total_loss call for the
+    # analytic gradients and one per chunk of FD_CHUNK perturbed copies, so
+    # 5 * (1 + 256 / 32) = 45 ssim_loss calls and 5 windowed means in each.
+    # Scoring every loss check's stacks alone made 90 and 450.
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for module, name in ((losses, "ssim_loss"), (grid, "windowed_mean")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    gradcheck.run_all(n_seeds=5, size=16)
+    assert calls.count("ssim_loss") <= 50
+    assert calls.count("windowed_mean") <= 250
+
+
+def test_one_seed_loss_pass_peaks_below_eleven_perturbed_stacks():
+    gradcheck.check_losses(0, 16)  # builds the cached window operators
+    tracemalloc.start()
+    try:
+        gradcheck.check_losses(3, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (2 * FD_CHUNK, 16, 16) float64 stack of perturbed copies is 128 KiB.
+    # Scoring each loss check's stacks alone peaked at 12.6 of them, in the
+    # total_loss check.
+    stack = 2 * gradcheck.FD_CHUNK * 16 * 16 * np.dtype(np.float64).itemsize
+    assert peak < 11 * stack
 
 
 def reference_check_mlp(seed):
