@@ -16,6 +16,7 @@ re-using a trained sub-network inside a fresh one.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -52,7 +53,6 @@ class ParamStore:
     """Ordered, uniquely named float32 tensors."""
 
     def __init__(self):
-        self._names: list[str] = []
         self._data: dict[str, np.ndarray] = {}
 
     @classmethod
@@ -65,11 +65,10 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> None:
         if name in self._data:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self._names.append(name)
         self._data[name] = np.ascontiguousarray(value, dtype=np.float32)
 
     def names(self) -> list[str]:
-        return list(self._names)
+        return list(self._data)
 
     def get(self, name: str) -> np.ndarray:
         return self._data[name]
@@ -78,66 +77,30 @@ class ParamStore:
         return name in self._data
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._data)
 
     def items(self):
-        return [(name, self._data[name]) for name in self._names]
+        return list(self._data.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamStore):
             return NotImplemented
-        if self._names != other._names:
-            return False
-        return all(
-            self._data[n].shape == other._data[n].shape
-            and np.array_equal(self._data[n], other._data[n])
-            for n in self._names
+        return self.names() == other.names() and all(
+            np.array_equal(value, other.get(name)) for name, value in self._data.items()
         )
 
 
 def save(store: ParamStore, path) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<B", VERSION)
-    blob += struct.pack("<I", len(store))
+    blob = bytearray(struct.pack("<4sBI", MAGIC, VERSION, len(store)))
     for name, value in store.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"parameter name too long: {name!r}")
-        if value.ndim > 0xFF:
-            raise ValueError(f"too many dimensions for {name!r}")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", value.ndim)
-        for dim in value.shape:
-            blob += struct.pack("<I", dim)
+        entry = f"<H{len(encoded)}sB{value.ndim}I"
+        blob += struct.pack(entry, len(encoded), encoded, value.ndim, *value.shape)
         blob += value.astype("<f4", copy=False).tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedFileError(
-                f"file ends inside {what} (need {n} bytes at offset {self.pos})"
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
 
 
 def load(path) -> ParamStore:
@@ -152,27 +115,31 @@ def load(path) -> ParamStore:
 
 
 def _parse(blob: bytes) -> ParamStore:
-    reader = _Reader(blob)
-    magic = reader.take(4, "magic") if len(blob) >= 4 else blob
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = reader.u8("version")
+    if blob[:4] != MAGIC:
+        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    pos = len(MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(blob):
+            raise TruncatedFileError(f"file ends inside {what} (need {n} bytes at offset {pos})")
+        pos += n
+        return blob[pos - n : pos]
+
+    version = take(1, "version")[0]
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
-    count = reader.u32("entry count")
     store = ParamStore()
+    (count,) = struct.unpack("<I", take(4, "entry count"))
     for i in range(count):
-        name_len = reader.u16(f"entry {i} name length")
+        (name_len,) = struct.unpack("<H", take(2, f"entry {i} name length"))
         try:
-            name = reader.take(name_len, f"entry {i} name").decode("utf-8")
+            name = take(name_len, f"entry {i} name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise EntryShapeError(f"entry {i} name is not valid UTF-8") from exc
-        ndim = reader.u8(f"entry {i} ndim")
-        shape = tuple(reader.u32(f"entry {i} dim {d}") for d in range(ndim))
-        n_values = 1
-        for dim in shape:
-            n_values *= dim
-        raw = reader.take(4 * n_values, f"entry {i} ({name}) data")
+        ndim = take(1, f"entry {i} ndim")[0]
+        shape = tuple(struct.unpack("<I", take(4, f"entry {i} dim {d}"))[0] for d in range(ndim))
+        raw = take(4 * math.prod(shape), f"entry {i} ({name}) data")
         try:
             value = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         except ValueError as exc:
@@ -181,10 +148,8 @@ def _parse(blob: bytes) -> ParamStore:
         if name in store:
             raise EntryShapeError(f"duplicate entry name {name!r}")
         store.add(name, value)
-    if reader.pos != len(blob):
-        raise EntryShapeError(
-            f"{len(blob) - reader.pos} trailing bytes after last declared entry"
-        )
+    if pos != len(blob):
+        raise EntryShapeError(f"{len(blob) - pos} trailing bytes after last declared entry")
     return store
 
 
@@ -225,22 +190,18 @@ def transplant(
     out = ParamStore()
     for name, value in target.items():
         if not name.startswith(prefix):
-            out.add(name, value)
-            continue
-        if name not in source:
+            pass  # kept from the target, unreported
+        elif name not in source:
             report.skipped_missing.append(name)
-            out.add(name, value)
-            continue
-        candidate = source.get(name)
-        if candidate.shape != value.shape:
+        elif source.get(name).shape != value.shape:
             if strict:
                 raise EntryShapeError(
                     f"transplant shape mismatch for {name!r}: "
-                    f"target {value.shape} vs source {candidate.shape}"
+                    f"target {value.shape} vs source {source.get(name).shape}"
                 )
             report.skipped_shape.append(name)
-            out.add(name, value)
-            continue
-        report.transplanted.append(name)
-        out.add(name, candidate)
+        else:
+            report.transplanted.append(name)
+            value = source.get(name)
+        out.add(name, value)
     return out, report

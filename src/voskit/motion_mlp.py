@@ -244,21 +244,18 @@ class MotionPredictor:
     """Wraps the network with motion normalization.
 
     ``scale`` is the normalization divisor, conventionally
-    0.1 * sqrt(H^2 + W^2) of the frame. The parameters are copied into the
-    flat vector ``flat``; ``params`` lists its {"weight", "bias"} layers as
-    views, so writes into them reach ``flat`` and training updates them in
-    place. An array put in place of a view is not trained.
+    0.1 * sqrt(H^2 + W^2) of the frame. The parameters of ``init_params(seed)``
+    are copied into the flat vector ``flat``; ``params`` lists its {"weight",
+    "bias"} layers as views, so writes into them reach ``flat`` and training
+    updates them in place. An array put in place of a view is not trained.
     """
 
-    def __init__(self, scale: float, params=None, seed: int = 0):
+    def __init__(self, scale: float, seed: int = 0):
         if not np.isfinite(scale) or scale <= 0:
             raise ValueError(f"scale must be finite and positive, got {scale}")
         self.scale = float(scale)
-        self.flat = np.empty(PARAM_COUNT)
+        self.flat = np.concatenate([a.reshape(-1) for layer in init_params(seed) for a in layer.values()])
         self.params = param_views(self.flat)
-        for view, layer in zip(self.params, init_params(seed) if params is None else params, strict=True):
-            view["weight"][...] = layer["weight"]
-            view["bias"][...] = layer["bias"]
 
     @classmethod
     def for_frame(cls, height: int, width: int, seed: int = 0) -> "MotionPredictor":
@@ -270,7 +267,7 @@ class MotionPredictor:
         return out * self.scale
 
     def predict_motion(self, motion: Motion) -> Motion:
-        return Motion(*self.predict(motion.as_tuple()))
+        return Motion(*self.predict(motion.as_tuple()).tolist())
 
     def param_items(self):
         """(name, array) pairs naming each tensor, plus the scale."""
@@ -283,27 +280,24 @@ class MotionPredictor:
 
     @classmethod
     def from_param_items(cls, items: dict[str, np.ndarray]) -> "MotionPredictor":
+        """The predictor whose ``param_items()`` equal ``items``: each stored
+        weight and bias must have its view's name and shape and be finite."""
         if "pt.norm.scale" not in items:
             raise ValueError("missing pt.norm.scale entry")
-        params = []
-        for i in range(len(LAYER_SIZES) - 1):
-            shape = (LAYER_SIZES[i], LAYER_SIZES[i + 1])
-            try:
-                weight = np.asarray(items[f"pt.layer{i}.weight"], dtype=np.float64)
-                bias = np.asarray(items[f"pt.layer{i}.bias"], dtype=np.float64)
-            except KeyError as exc:
-                raise ValueError(f"missing parameter entry {exc.args[0]}") from None
-            if weight.shape != shape:
-                raise ValueError(f"pt.layer{i}.weight shape {weight.shape} != {shape}")
-            if bias.shape != (shape[1],):
-                raise ValueError(f"pt.layer{i}.bias shape {bias.shape} != ({shape[1]},)")
-            if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-                raise ValueError(f"pt.layer{i} has non-finite weights or biases")
-            params.append({"weight": weight, "bias": bias})
         scale = np.asarray(items["pt.norm.scale"])
         if scale.size != 1:
             raise ValueError(f"pt.norm.scale must hold one value, got shape {scale.shape}")
-        return cls(scale=float(scale.reshape(-1)[0]), params=params)
+        predictor = cls(scale=float(scale.reshape(-1)[0]))
+        for name, view in predictor.param_items()[:-1]:  # the scale entry comes last
+            if name not in items:
+                raise ValueError(f"missing parameter entry {name}")
+            value = np.asarray(items[name])
+            if value.shape != view.shape:
+                raise ValueError(f"{name} shape {value.shape} != {view.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite values")
+            view[...] = value
+        return predictor
 
 
 def _stack_triples(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,6 +20,8 @@ from voskit.checkpoint import (
 )
 from voskit.rng import Rng
 
+import checkpoint_reference
+
 
 def sample_store():
     store = ParamStore()
@@ -342,3 +344,82 @@ def test_byte_flipped_checkpoint_loads_or_raises_checkpoint_error(flips):
         return
     # A flip inside names or values can leave a well-formed file.
     assert len(store) == len(sample_store())
+
+
+# --- equality with the reference reader and transplant ---
+
+
+@st.composite
+def param_stores(draw, names=st.text(max_size=4), shapes=st.lists(st.integers(0, 3), max_size=3)):
+    """Stores of up to 4 entries, each filled with one float32 value."""
+    entries = draw(
+        st.lists(st.tuples(names, shapes, st.floats(width=32)), max_size=4, unique_by=lambda e: e[0])
+    )
+    return ParamStore.from_items((name, np.full(shape, value)) for name, shape, value in entries)
+
+
+@st.composite
+def damaged_blobs(draw):
+    """A saved store cut short, with up to 4 bytes past the magic flipped,
+    then extended."""
+    blob = _blob(draw(param_stores()))
+    blob = bytearray(blob[: draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))])
+    if len(blob) > len(MAGIC):
+        flips = st.tuples(st.integers(len(MAGIC), len(blob) - 1), st.integers(1, 255))
+        for pos, bits in draw(st.lists(flips, max_size=4)):
+            blob[pos] ^= bits
+    return bytes(blob + draw(st.binary(max_size=8)))
+
+
+def _contents(store: ParamStore):
+    return [(name, value.shape, value.tobytes()) for name, value in store.items()]
+
+
+def _outcome(call):
+    """What ``call()`` gives: its stores' names, shapes and float32 bytes
+    (and any other results as they are), or its exception's class and text."""
+    try:
+        result = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    results = result if isinstance(result, tuple) else (result,)
+    return [_contents(r) if isinstance(r, ParamStore) else r for r in results]
+
+
+def _reference_load(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return checkpoint_reference.parse(blob)
+    except CheckpointError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=damaged_blobs())
+def test_load_equals_the_reference_reader(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/w.tvck"
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert _outcome(lambda: load(path)) == _outcome(lambda: _reference_load(path))
+
+
+# Few names and shapes, so that target and source share many of each.
+OVERLAPPING_STORES = param_stores(
+    names=st.text("ab.", max_size=2), shapes=st.sampled_from([(1,), (2,), (1, 2)])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=OVERLAPPING_STORES,
+    source=OVERLAPPING_STORES,
+    prefix=st.text("ab.", max_size=2),
+    strict=st.booleans(),
+)
+def test_transplant_equals_the_reference(target, source, prefix, strict):
+    assert _outcome(lambda: transplant(target, source, prefix, strict)) == _outcome(
+        lambda: checkpoint_reference.transplant(target, source, prefix, strict)
+    )

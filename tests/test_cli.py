@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,22 @@ def test_filter_pt_with_a_scale_entry_not_of_one_value_exits_2(built_corpus, tmp
         assert capsys.readouterr().err.startswith(f"error: {weights}: pt.norm.scale must hold one value")
 
 
+def test_filter_pt_with_a_margin_wider_than_the_frame_warns_nothing(built_corpus, tmp_path, capsys):
+    # The learned motions are Python floats, so the gate's edges overflow to
+    # +-inf without a numpy overflow warning, as in the cv variant.
+    weights = tmp_path / "w.tvck"
+    checkpoint.save(
+        checkpoint.ParamStore.from_items(MotionPredictor.for_frame(60, 90, seed=1).param_items()),
+        weights,
+    )
+    argv = ["filter", built_corpus, tmp_path / "f", "--variant", "pt", "--weights", weights]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--margin", "1e308"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_filter_nonexistent_corpus_exits_2(tmp_path):
     assert run(["filter", tmp_path / "ghost", tmp_path / "f"]) == EXIT_INPUT
 
@@ -774,6 +791,11 @@ def test_path_of_the_wrong_kind_exits_2(argv, built_corpus, tmp_path, monkeypatc
 # --- transplant ---
 
 
+# sha256 of the store `transplant` writes in test_transplant_cli_round_trip:
+# layer 0 of the seed-1 predictor for a 60x90 frame in the seed-2 one.
+TRANSPLANT_MERGED_SHA256 = "3629f1e057ae0947c763ce01d482c8413537cb022b2384554cf9ef71da5504af"
+
+
 def test_transplant_cli_round_trip(built_corpus, tmp_path, capsys):
     donor_path = tmp_path / "donor.tvck"
     target_path = tmp_path / "target.tvck"
@@ -788,8 +810,14 @@ def test_transplant_cli_round_trip(built_corpus, tmp_path, capsys):
          "--prefix", "pt.layer0.", "--out", merged]
     )
     assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "transplanted" in out
+    assert capsys.readouterr().out == (
+        "transplanted: 2\n"
+        "skipped (missing in source): 0\n"
+        "skipped (shape mismatch): 0\n"
+        "  + pt.layer0.weight\n"
+        "  + pt.layer0.bias\n"
+    )
+    assert hashlib.sha256(merged.read_bytes()).hexdigest() == TRANSPLANT_MERGED_SHA256
 
     store = checkpoint.load(merged)
     donor_store = checkpoint.load(donor_path)
