@@ -64,16 +64,16 @@ def apply_motion(box: BBox, motion: Motion) -> BBox:
 
 
 def bbox_from_mask(mask: np.ndarray) -> BBox | None:
-    """Tightest box covering the pixels with ``value > MASK_THRESHOLD`` (a
-    boolean mask counts as 0/1), or None when there are none."""
+    """Tightest box covering the pixels with ``value > MASK_THRESHOLD``, or
+    None when there are none. A boolean mask is its own selection."""
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    sel = m > MASK_THRESHOLD
+    sel = m if m.dtype == bool else m > MASK_THRESHOLD
     rows = np.flatnonzero(sel.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(sel.any(axis=0))
+    cols = np.flatnonzero(sel[rows[0] : rows[-1] + 1].any(axis=0))
     return BBox(
         x=float(cols[0]),
         y=float(rows[0]),

@@ -117,30 +117,26 @@ def filter_stream(
                 raise ValueError(f"frame {index} object {object_id}: non-finite soft mask")
             prev, prev2 = states.get(object_id, (None, None))
 
-            predicted = None
-            if prev is None or prev2 is None:
-                filtered = channel
-                box = bbox_from_mask(channel)
-                source = SOURCE_WARMUP
-            else:
+            predicted = box = None
+            if prev is not None and prev2 is not None:
                 motion = box_delta(prev, prev2)
                 if model is not None:
                     motion = model.predict_motion(motion)
                 predicted = apply_motion(prev, motion)
-                gate = attention_map(predicted, shape[0], shape[1], margin_frac)
-                filtered = channel * gate
+                filtered = channel * attention_map(predicted, shape[0], shape[1], margin_frac)
                 box = bbox_from_mask(filtered)
                 source = variant
-                if box is None:
-                    # Lost inside the gate: pass the frame through ungated,
-                    # re-acquire the box from it, and forget the old motion.
-                    filtered = channel
-                    box = bbox_from_mask(channel)
-                    source = SOURCE_FALLBACK
-                    predicted = None
+            if box is None:
+                # Warm-up, or lost inside the gate: pass the channel through
+                # ungated and take the box from it. A fallback also forgets
+                # the old motion, so the track re-acquires.
+                source = SOURCE_WARMUP if predicted is None else SOURCE_FALLBACK
+                filtered = channel
+                box = bbox_from_mask(channel)
+                predicted = None
 
-            forget = box is None or source == SOURCE_FALLBACK
-            next_states[object_id] = (box, None if forget else prev)
+            keep = box is not None and source != SOURCE_FALLBACK
+            next_states[object_id] = (box, prev if keep else None)
 
             out_channels[object_id] = filtered
             rows.append(

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import tracker_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voskit.boxes import (
     MASK_THRESHOLD,
@@ -61,6 +65,46 @@ def test_bbox_from_mask_single_pixel():
     mask = np.zeros((5, 5))
     mask[3, 2] = 1.0
     assert bbox_from_mask(mask) == BBox(2, 3, 1, 1)
+
+
+# Each kind of mask the box scan meets: boolean, 0/1 uint8, soft float with
+# values at the threshold and below 0, and integer label frames. ``fill``
+# makes most pixels background, so empty masks and single pixels are common.
+AROUND_THRESHOLD = [
+    np.nextafter(MASK_THRESHOLD, 0.0),
+    MASK_THRESHOLD,
+    np.nextafter(MASK_THRESHOLD, 1.0),
+]
+mask_kinds = st.sampled_from(
+    [
+        (np.bool_, st.booleans(), False),
+        (np.uint8, st.integers(0, 1), 0),
+        (np.float64, st.sampled_from([-1.0, -0.0, 0.3, *AROUND_THRESHOLD, 1.0]), 0.0),
+        (np.float32, st.floats(-2.0, 2.0, width=32), 0.0),
+        (np.int64, st.integers(-3, 5), 0),
+        (np.uint8, st.integers(0, 255), 0),
+    ]
+)
+
+
+@st.composite
+def masks(draw):
+    dtype, elements, off = draw(mask_kinds)
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    return draw(hnp.arrays(dtype, shape, elements=elements, fill=st.just(off)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(masks())
+@example(np.zeros((4, 5), dtype=bool))
+@example(np.ones((4, 5), dtype=bool))
+@example(np.ones((1, 7), dtype=np.uint8))
+@example(np.full((6, 1), MASK_THRESHOLD))
+@example(np.eye(5, 3, k=2) > 0)
+@example(np.pad(np.ones((1, 1)), ((0, 5), (4, 0))))
+@example(np.pad([[1.0], [0.0], [0.7]], ((0, 0), (3, 2))))
+def test_bbox_from_mask_equals_reference(mask):
+    assert bbox_from_mask(mask) == tracker_reference.bbox_from_mask(mask)
 
 
 def test_attention_map_covers_box_with_margin():

@@ -197,6 +197,24 @@ def test_synth_scene_error_names_the_scene_file(tmp_path, capsys, scene, message
     assert (tmp_path / "out").exists() == parsed
 
 
+@pytest.mark.parametrize(
+    ("scene", "message"),
+    [
+        (
+            dict(SCENE, corruption=dict(SCENE["corruption"], min_distance=-1)),
+            "min_distance must be >= 0, got -1.0",
+        ),
+        (dict(SCENE, objects=[{"id": 1, "box": [2, 2, 0.5, 6]}]), "object box must be at least 1x1"),
+    ],
+)
+def test_synth_scene_out_of_range_exits_2_before_any_output(tmp_path, capsys, scene, message):
+    path = write_scene(tmp_path, scene)
+    assert run(["synth", path, tmp_path / "out"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_missing_scene_file_exits_2(tmp_path):
     assert run(["synth", tmp_path / "nope.json", tmp_path / "out"]) == EXIT_INPUT
 
@@ -322,6 +340,20 @@ def test_filter_writes_tracks_per_sequence(built_corpus, tmp_path):
         assert "warmup" in sources and "cv" in sources
         n_frames = len(corpus.list_frame_files(filtered / seq / "masks_pred"))
         assert len(rows) - 1 == 2 * n_frames  # one row per frame per object
+
+
+def test_filter_of_all_background_copies_frames_and_logs_nothing(built_corpus, tmp_path, capsys):
+    # No id to track: frames pass through unchanged, the track log is only
+    # its header, and there is no gate to dump.
+    seq = corpus.list_sequences(built_corpus)[0]
+    pred = built_corpus / seq / "masks_pred"
+    corpus.write_mask_dir(pred, [np.zeros((60, 90), dtype=np.uint8)] * len(os.listdir(pred)))
+    filtered = tmp_path / "f"
+    assert run(["filter", built_corpus, filtered, "--dump-overlay"]) == EXIT_OK
+    assert capsys.readouterr().out == f"filtered 1 sequence(s) to {filtered}\n"
+    assert tree_bytes(filtered / seq / "masks_pred") == tree_bytes(pred)
+    assert (filtered / seq / "tracks.csv").read_text() == "frame,object_id,x,y,w,h,source\n"
+    assert sorted(os.listdir(filtered / seq)) == ["masks_pred", "tracks.csv"]
 
 
 def test_filter_overlay_dump(built_corpus, tmp_path):
@@ -503,6 +535,17 @@ def test_eval_prediction_dims_differing_from_ground_truth_exit_2(tmp_path, capsy
     assert "internal" not in captured.err
 
 
+def test_eval_pgm_header_with_unterminated_comment_exits_2(built_corpus, tmp_path, capsys):
+    seq = corpus.list_sequences(built_corpus)[0]
+    second = built_corpus / seq / "masks_gt" / corpus.frame_name(2)
+    second.write_bytes(b"P5\n# no newline")
+    capsys.readouterr()
+    assert run(["eval", built_corpus, built_corpus]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {seq}: {second}: unterminated comment in header\n"
+
+
 def test_eval_missing_gt_exits_2(built_corpus, tmp_path):
     assert run(["eval", built_corpus, tmp_path / "ghost"]) == EXIT_INPUT
 
@@ -626,6 +669,21 @@ def test_train_pt_empty_corpus_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert run(["train-pt", empty, "--out", tmp_path / "w.tvck"]) == EXIT_INPUT
+
+
+def test_train_pt_without_three_boxes_in_a_row_exits_2(tmp_path, capsys):
+    # The object is present on every other frame only, so no track has the
+    # three consecutive boxes a training example needs.
+    frames = [np.zeros((10, 12), dtype=np.uint8) for _ in range(6)]
+    for t in (0, 2, 4):
+        frames[t][2:5, t : t + 3] = 1
+    corpus.write_mask_dir(tmp_path / "c" / "s1" / "masks_gt", frames)
+    weights = tmp_path / "w.tvck"
+    assert run(["train-pt", tmp_path / "c", "--out", weights]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no training examples (need runs of 3 boxes)\n"
+    assert not weights.exists()
 
 
 def test_train_pt_mixed_dims_exits_2(built_corpus, tmp_path):
@@ -898,7 +956,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(built_corpus, tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     for name in ("synth", "gradcheck", "losses", "grid", "motion_mlp", "checkpoint"):
         assert f"voskit.{name}" not in loaded
-    assert not loaded & {"voskit.tracker", "voskit.boxes"}, loaded
+    assert loaded == CLI_IMPORT_MODULES | {"voskit.metrics", "voskit.boxes"}, loaded
 
     proc, loaded = fresh_main(["gradcheck", "--seeds", "1", "--size", "8"])
     assert proc.returncode == EXIT_OK, proc.stderr

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import tracker_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -356,6 +357,58 @@ def test_filter_labels_with_the_box_threshold():
     ys, xs = np.nonzero(frame.label)
     assert (xs >= row.box.x).all() and (xs < row.box.x + row.box.w).all()
     assert (ys >= row.box.y).all() and (ys < row.box.y + row.box.h).all()
+
+
+@st.composite
+def channel_sequences(draw):
+    """Frames of up to three objects on a small frame, all boolean or all
+    soft. Each channel is a rectangle plus a few scattered pixels, so gates
+    both hold and lose objects. An id may come late, be empty, vanish or be
+    missing from a frame's dict."""
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    soft = draw(st.booleans())
+    values = soft_values if soft else st.booleans()
+    # Mostly a foreground rectangle, so that tracks get past warm-up.
+    fill = st.one_of(st.just(True), values)
+    present = st.sampled_from([True, True, True, False])
+    pixel = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    frames = []
+    for _ in range(draw(st.integers(1, 8))):
+        frame = {}
+        for oid in [oid for oid in (1, 2, 7) if draw(present)]:
+            channel = np.zeros((height, width), dtype=np.float64 if soft else bool)
+            y, x = draw(pixel)
+            h, w = draw(st.integers(1, height - y)), draw(st.integers(1, width - x))
+            channel[y : y + h, x : x + w] = draw(fill)
+            for py, px in draw(st.lists(pixel, max_size=3)):
+                channel[py, px] = draw(values)
+            frame[oid] = channel
+        frames.append(frame)
+    return frames
+
+
+def filter_outcome(stream):
+    """Each frame's label bytes and track rows, then the ValueError that
+    ended the stream, if one did."""
+    out = []
+    try:
+        for f in stream:
+            out.append((f.frame, f.label.dtype, f.label.tobytes(), f.rows))
+    except ValueError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("pt", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(channel_sequences(), st.one_of(st.sampled_from([0.0, 0.1, 2.0]), st.floats(0.0, 2.0)))
+def test_filter_stream_equals_reference(pt, frames, margin):
+    from voskit.motion_mlp import MotionPredictor
+
+    model = MotionPredictor.for_frame(8, 10) if pt else None
+    assert filter_outcome(filter_stream(frames, model, margin)) == filter_outcome(
+        tracker_reference.filter_stream(frames, model, margin)
+    )
 
 
 def write_track_csv(rows, path):
