@@ -59,9 +59,7 @@ def main() -> None:
 
     removed = 0
     for ev in blob_events:
-        x0, y0 = int(ev.box.x), int(ev.box.y)
-        patch = outs[ev.frame - 1].label[y0 : y0 + int(ev.box.h), x0 : x0 + int(ev.box.w)]
-        removed += bool((patch == 0).all())
+        removed += bool((outs[ev.frame - 1].label[ev.window] == 0).all())
 
     before = np.mean([
         jaccard(compose_label(ch, gt.shape) == 1, gt == 1)

@@ -7,6 +7,7 @@ degenerate box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ class BBox:
 
     def __post_init__(self):
         vals = (self.x, self.y, self.w, self.h)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"box fields must be finite, got {vals}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box width/height must be >= 0, got {vals}")
@@ -82,31 +83,28 @@ def bbox_from_mask(mask: np.ndarray) -> BBox | None:
     )
 
 
+def pixel_window(box: BBox, height: float, width: float, margin_frac: float = 0.0) -> tuple[slice, slice]:
+    """The (rows, cols) slices of the pixels a box covers: the box widened by
+    margin_frac of its size on each side, clipped to a height x width frame
+    (also when a huge margin takes its edges to +-inf) and rounded outward to
+    whole pixels. A slice is empty on an axis where the box misses the frame."""
+    if margin_frac < 0:
+        raise ValueError(f"margin_frac must be >= 0, got {margin_frac}")
+    spans = []
+    for lo, size, limit in ((box.y, box.h, height), (box.x, box.w, width)):
+        start = math.floor(max(lo - margin_frac * size, 0))
+        stop = math.ceil(min(lo + size + margin_frac * size, limit))
+        spans.append(slice(start, max(stop, start)))
+    return spans[0], spans[1]
+
+
 def attention_map(
     box: BBox,
     height: int,
     width: int,
     margin_frac: float = 0.1,
 ) -> np.ndarray:
-    """Binary gate rendered from a box.
-
-    The box is first expanded by margin_frac * w horizontally and
-    margin_frac * h vertically, then rounded outward to whole pixels and
-    clipped to the frame. Returns a uint8 map of 0/1; a box entirely outside
-    the frame yields all zeros.
-    """
-    if margin_frac < 0:
-        raise ValueError(f"margin_frac must be >= 0, got {margin_frac}")
-    x0 = box.x - margin_frac * box.w
-    x1 = box.x + box.w + margin_frac * box.w
-    y0 = box.y - margin_frac * box.h
-    y1 = box.y + box.h + margin_frac * box.h
-    # Clip before converting: a huge margin takes the edges to +-inf.
-    c0 = int(max(np.floor(x0), 0))
-    c1 = int(min(np.ceil(x1), width))
-    r0 = int(max(np.floor(y0), 0))
-    r1 = int(min(np.ceil(y1), height))
-    out = np.zeros((height, width), dtype=np.uint8)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = 1
+    """Boolean gate rendered from a box: True exactly on its ``pixel_window``."""
+    out = np.zeros((height, width), dtype=bool)
+    out[pixel_window(box, height, width, margin_frac)] = True
     return out

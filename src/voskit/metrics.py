@@ -21,7 +21,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import corpus
-from .boxes import bbox_from_mask
+from .boxes import bbox_from_mask, pixel_window
 
 
 def _as_binary(mask: np.ndarray) -> np.ndarray:
@@ -178,8 +178,7 @@ def evaluate_sequence(pred_seq, gt_seq) -> SequenceEval:
             # J and F do not change under translation, and the smallest box
             # holding both masks is bordered by background only, as the
             # frame is by its edge: score that crop with the frame's radius.
-            x, y, w, h = map(int, bbox_from_mask(pm | gm).as_tuple())
-            crop = slice(y, y + h), slice(x, x + w)
+            crop = pixel_window(bbox_from_mask(pm | gm), *p.shape)
             j = jaccard(pm[crop], gm[crop])
             f = contour_f(pm[crop], gm[crop], tol)
             out.rows.append(FrameScore(frame=index, object_id=object_id, j=j, f=f))

@@ -263,7 +263,8 @@ class MotionPredictor:
 
     def predict(self, motions: np.ndarray) -> np.ndarray:
         """Refined motions for a (4,) or (n, 4) array of raw motions."""
-        out, _ = mlp_forward(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
+        with np.errstate(over="ignore"):  # gelu_tanh's cube overflows where tanh is exactly +-1
+            out, _ = mlp_forward(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
         return out * self.scale
 
     def predict_motion(self, motion: Motion) -> Motion:

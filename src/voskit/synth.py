@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .boxes import BBox
+from .boxes import BBox, pixel_window
 from .corpus import InputError
 from .metrics import erode
 from .rng import Rng
@@ -176,6 +176,7 @@ def _pixel_bounds(box: BBox, height: int, width: int, grow: int = 0):
     """Integer pixel span (x0, y0, x1, y1) of a box, grown by grow pixels on
     each side and clipped to the frame, plus a clip flag. The span is empty
     (x0 >= x1 or y0 >= y1) when nothing of it is visible."""
+    # Nearest rounding: pixel_window's outward rule renders fractional boxes 1 px wider.
     x0 = int(np.rint(box.x)) - grow
     y0 = int(np.rint(box.y)) - grow
     x1 = x0 + int(np.rint(box.w)) + 2 * grow
@@ -245,8 +246,7 @@ class BlobEvent:
 
     @property
     def window(self) -> tuple[slice, slice]:
-        x0, y0 = int(self.box.x), int(self.box.y)
-        return slice(y0, y0 + int(self.box.h)), slice(x0, x0 + int(self.box.w))
+        return pixel_window(self.box, math.inf, math.inf)  # blobs lie inside the frame
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from voskit.boxes import (
     attention_map,
     bbox_from_mask,
     box_delta,
+    pixel_window,
 )
 
 
@@ -22,6 +23,35 @@ def test_bbox_validates_fields():
     with pytest.raises(ValueError):
         BBox(float("nan"), 0, 1, 1)
     assert BBox(1, 2, 3, 4).as_tuple() == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        -float("inf"),
+        np.float64("nan"),
+        np.float32("-inf"),
+        1e308,
+        -0.0,
+        0,
+        7,
+        -12,
+        np.int64(-3),
+        np.uint8(200),
+        np.float32(2.5),
+    ],
+    ids=repr,
+)
+def test_bbox_accepts_exactly_the_fields_np_isfinite_accepts(value):
+    fields = (value, 1.0, 2.0, 3.0)
+    if np.isfinite(value):
+        assert BBox(*fields).as_tuple() == fields
+    else:
+        with pytest.raises(ValueError) as err:
+            BBox(*fields)
+        assert str(err.value) == f"box fields must be finite, got {fields}"
 
 
 def test_box_delta_and_apply_roundtrip():
@@ -110,7 +140,7 @@ def test_bbox_from_mask_equals_reference(mask):
 def test_attention_map_covers_box_with_margin():
     box = BBox(10, 5, 20, 10)
     am = attention_map(box, 40, 60, margin_frac=0.1)
-    assert am.dtype == np.uint8
+    assert am.dtype == bool
     assert set(np.unique(am)) <= {0, 1}
     # margin is 2 px in x (0.1*20) and 1 px in y (0.1*10)
     assert am[5:15, 10:30].all()  # the box itself
@@ -148,10 +178,41 @@ def test_attention_map_covers_the_frame_at_a_huge_margin():
     # At 1e308 the expanded edges overflow to -inf and +inf; they clip to
     # the frame like finite edges do.
     am = attention_map(BBox(10, 5, 20, 10), 40, 60, margin_frac=1e308)
-    assert am.dtype == np.uint8 and am.shape == (40, 60)
+    assert am.dtype == bool and am.shape == (40, 60)
     assert am.all()
 
 
 def test_attention_map_rejects_negative_margin():
     with pytest.raises(ValueError):
         attention_map(BBox(0, 0, 2, 2), 5, 5, margin_frac=-0.1)
+
+
+# Box fields from small integers and fractions (negative ones too, so boxes
+# lie off each edge) up to 1e300; frames of 1-12 pixels per side; margins 0,
+# fractional and one that overflows the edges to +-inf.
+coords = st.one_of(st.integers(-15, 15), st.floats(-15, 15), st.floats(-1e300, 1e300))
+sizes = st.one_of(st.integers(0, 15), st.floats(0, 15), st.floats(0, 1e300))
+margins = st.one_of(st.just(0.0), st.floats(0, 2), st.just(1e308))
+sides = st.integers(1, 12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(BBox, coords, coords, sizes, sizes), sides, sides, margins)
+@example(BBox(-10, 2, 3, 2), 5, 6, 0.0)  # wholly left: a negative stop clamps, not wraps
+@example(BBox(1, -10, 2, 3), 5, 6, 0.0)  # wholly above the frame
+@example(BBox(-10, -10, 4, 4), 5, 6, 0.5)  # off the top-left corner
+@example(BBox(2, 3, 4, 5), 12, 12, 0.0)  # integer box, zero margin
+@example(BBox(0.5, 0, 2, 1), 1, 7, 0.1)  # 1xN frame
+@example(BBox(0, 2.5, 1, 3), 7, 1, 0.1)  # Nx1 frame
+@example(BBox(1e300, -1e300, 1e300, 1e300), 4, 4, 1e308)
+def test_attention_map_equals_reference_and_is_its_pixel_window(box, height, width, margin):
+    am = attention_map(box, height, width, margin)
+    assert am.dtype == bool and am.shape == (height, width)
+    assert np.array_equal(am, tracker_reference.attention_map(box, height, width, margin) == 1)
+    rows, cols = pixel_window(box, height, width, margin)
+    for span, side in ((rows, height), (cols, width)):
+        assert span.step is None and 0 <= span.start <= span.stop
+        assert span.start == span.stop or span.stop <= side
+    inside = np.zeros((height, width), dtype=bool)
+    inside[rows.start : rows.stop, cols.start : cols.stop] = True
+    assert np.array_equal(am, inside)

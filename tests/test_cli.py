@@ -450,6 +450,23 @@ def test_filter_pt_with_a_margin_wider_than_the_frame_warns_nothing(built_corpus
     assert capsys.readouterr().err == ""
 
 
+def test_filter_pt_with_weights_at_the_float32_limit_warns_nothing(built_corpus, tmp_path, capsys):
+    # 3e38 is a finite float32, so the loader takes these weights. The cube
+    # in gelu_tanh overflows where tanh is exactly +-1, which is no error.
+    items = dict(MotionPredictor.for_frame(60, 90, seed=1).param_items())
+    for name, value in items.items():
+        if name != "pt.norm.scale":
+            items[name] = np.full_like(value, 3e38)
+    weights = tmp_path / "w.tvck"
+    checkpoint.save(checkpoint.ParamStore.from_items(items.items()), weights)
+    argv = ["filter", built_corpus, tmp_path / "f", "--variant", "pt", "--weights", weights]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_filter_nonexistent_corpus_exits_2(tmp_path):
     assert run(["filter", tmp_path / "ghost", tmp_path / "f"]) == EXIT_INPUT
 
@@ -574,6 +591,32 @@ def late_and_vanishing_ids_corpus(root):
                     m[2 + oid * 4 : 5 + oid * 4, t + oid : t + oid + 4 + t % 3] = oid
             frames.append(m)
         corpus.write_mask_dir(root / seq / "masks_gt", frames)
+
+
+# sha256 tree digest of `filter late <margin> --dump-overlay` at the default
+# margin, `--margin 0`, `--margin 0.3` and `--margin 2`, each into its own
+# directory, on late_and_vanishing_ids_corpus with masks_gt copied to
+# masks_pred, taken before the gate became boolean. The trees hold warm-up
+# rows and all-255 overlays before an id appears, a vanished id's fallback
+# row, and (at margin 2) gates clipped at the edges of the 20x30 frame.
+FILTER_LATE_IDS_DIGEST = "4088c5bf5424097a5bd32baa2e746b72f7025de4b3428ff77a35ee2dd5945a12"
+
+
+def test_filter_on_late_and_vanishing_ids_matches_golden_digest(tmp_path):
+    late = tmp_path / "late"
+    late_and_vanishing_ids_corpus(late)
+    for seq in corpus.list_sequences(late):
+        frames = corpus.iter_mask_dir(late / seq / "masks_gt")
+        corpus.write_mask_dir(late / seq / "masks_pred", frames)
+    out = tmp_path / "out"
+    for name, margin in (
+        ("default", []),
+        ("m0", ["--margin", "0"]),
+        ("m03", ["--margin", "0.3"]),
+        ("m2", ["--margin", "2"]),
+    ):
+        assert run(["filter", late, out / name, "--dump-overlay", *margin]) == EXIT_OK
+    assert tree_digest(out) == FILTER_LATE_IDS_DIGEST
 
 
 # sha256 of stdout followed by the written file, taken before eval and
@@ -909,7 +952,9 @@ def fresh_interpreter(code, *args):
     src = os.path.dirname(os.path.dirname(voskit.__file__))
     code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
     )
 
 

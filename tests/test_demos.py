@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    result = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(script)]
+    result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

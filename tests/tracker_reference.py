@@ -1,14 +1,16 @@
-"""The box scan and the filter loop that ``voskit.boxes`` and
+"""The box scan, the gate and the filter loop that ``voskit.boxes`` and
 ``voskit.tracker`` ran before the box scan took a boolean mask as its own
-selection and the tracker passed warm-up and fallback channels through in one
-branch: ``bbox_from_mask`` thresholds every mask and scans every column, and
+selection, the tracker passed warm-up and fallback channels through in one
+branch, and the gate became ``boxes.pixel_window`` rendered as a boolean:
+``bbox_from_mask`` thresholds every mask and scans every column,
+``attention_map`` clips its own edges into a uint8 0/1 map, and
 ``filter_stream`` has a warm-up branch plus a fallback nested in its gate
-branch. The reference the rewrite must equal exactly: the same boxes, labels
-and track rows."""
+branch. The reference the rewrite must equal exactly: the same boxes, gates
+(as booleans), labels and track rows."""
 
 import numpy as np
 
-from voskit.boxes import MASK_THRESHOLD, BBox, apply_motion, attention_map, box_delta
+from voskit.boxes import MASK_THRESHOLD, BBox, apply_motion, box_delta
 from voskit.tracker import (
     SOURCE_CV,
     SOURCE_FALLBACK,
@@ -35,6 +37,24 @@ def bbox_from_mask(mask):
         w=float(cols[-1] - cols[0] + 1),
         h=float(rows[-1] - rows[0] + 1),
     )
+
+
+def attention_map(box, height, width, margin_frac=0.1):
+    if margin_frac < 0:
+        raise ValueError(f"margin_frac must be >= 0, got {margin_frac}")
+    x0 = box.x - margin_frac * box.w
+    x1 = box.x + box.w + margin_frac * box.w
+    y0 = box.y - margin_frac * box.h
+    y1 = box.y + box.h + margin_frac * box.h
+    # Clip before converting: a huge margin takes the edges to +-inf.
+    c0 = int(max(np.floor(x0), 0))
+    c1 = int(min(np.ceil(x1), width))
+    r0 = int(max(np.floor(y0), 0))
+    r1 = int(min(np.ceil(y1), height))
+    out = np.zeros((height, width), dtype=np.uint8)
+    if r0 < r1 and c0 < c1:
+        out[r0:r1, c0:c1] = 1
+    return out
 
 
 def filter_stream(frames, model=None, margin_frac=0.1):
