@@ -64,13 +64,19 @@ def apply_motion(box: BBox, motion: Motion) -> BBox:
     )
 
 
+def foreground(mask: np.ndarray) -> np.ndarray:
+    """The boolean selection of a mask's pixels with ``value > MASK_THRESHOLD``;
+    a boolean mask is its own selection."""
+    return mask if mask.dtype == bool else mask > MASK_THRESHOLD
+
+
 def bbox_from_mask(mask: np.ndarray) -> BBox | None:
-    """Tightest box covering the pixels with ``value > MASK_THRESHOLD``, or
-    None when there are none. A boolean mask is its own selection."""
+    """Tightest box covering the ``foreground`` pixels, or None when there
+    are none."""
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    sel = m if m.dtype == bool else m > MASK_THRESHOLD
+    sel = foreground(m)
     rows = np.flatnonzero(sel.any(axis=1))
     if rows.size == 0:
         return None

@@ -158,7 +158,7 @@ def _load_predictor(path):
 def cmd_filter(args) -> int:
     import csv
 
-    from .boxes import attention_map
+    from .boxes import pixel_window
     from .tracker import TRACK_CSV_HEADER, filter_stream, track_csv_row
 
     model = _load_predictor(args.weights) if args.variant == "pt" else None
@@ -187,9 +187,9 @@ def cmd_filter(args) -> int:
                     for row in out.rows:
                         gate_dir = os.path.join(seq_out, "overlays", f"{row.object_id:03d}")
                         os.makedirs(gate_dir, exist_ok=True)
-                        overlay = np.full(out.label.shape, 255, dtype=np.uint8)
+                        overlay = np.full(out.label.shape, 255 if row.gate is None else 0, np.uint8)
                         if row.gate is not None:
-                            overlay *= attention_map(row.gate, *out.label.shape, args.margin)
+                            overlay[pixel_window(row.gate, *out.label.shape, args.margin)] = 255
                         corpus.write_pgm(
                             os.path.join(gate_dir, corpus.frame_name(out.frame)), overlay
                         )

@@ -85,12 +85,11 @@ def read_pgm(path) -> np.ndarray:
     if width < 1 or height < 1:
         raise CorpusError(f"{path}: image is {width}x{height}, need positive dims")
     expected = width * height
-    data = blob[offset : offset + expected]
-    if len(data) != expected:
+    if len(blob) - offset < expected:
         raise CorpusError(
-            f"{path}: pixel data has {len(data)} bytes, expected {expected}"
+            f"{path}: pixel data has {len(blob) - offset} bytes, expected {expected}"
         )
-    mask = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    mask = np.frombuffer(blob, np.uint8, count=expected, offset=offset).reshape(height, width)
     # maxval 255 (all that write_pgm writes) admits every byte; skip the scan.
     if maxval < 255 and (top := int(mask.max())) > maxval:
         raise CorpusError(f"{path}: pixel value {top} exceeds maxval {maxval}")

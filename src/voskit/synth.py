@@ -172,39 +172,35 @@ def analytic_box(obj: ObjectSpec, t: int) -> BBox:
     return BBox(x=x, y=y, w=obj.box.w, h=obj.box.h)
 
 
-def _pixel_bounds(box: BBox, height: int, width: int, grow: int = 0):
-    """Integer pixel span (x0, y0, x1, y1) of a box, grown by grow pixels on
-    each side and clipped to the frame, plus a clip flag. The span is empty
-    (x0 >= x1 or y0 >= y1) when nothing of it is visible."""
-    # Nearest rounding: pixel_window's outward rule renders fractional boxes 1 px wider.
-    x0 = int(np.rint(box.x)) - grow
-    y0 = int(np.rint(box.y)) - grow
-    x1 = x0 + int(np.rint(box.w)) + 2 * grow
-    y1 = y0 + int(np.rint(box.h)) + 2 * grow
-    span = (max(x0, 0), max(y0, 0), min(x1, width), min(y1, height))
-    return span, span != (x0, y0, x1, y1)
+def _pixel_box(box: BBox, grow: int = 0) -> BBox:
+    """The box with each field rounded to the nearest pixel, then grown by
+    grow pixels on each side; nearest, since ``pixel_window``'s outward rule
+    alone would render a fractional box 1 px wider."""
+    x, y, w, h = (float(np.rint(v)) for v in box.as_tuple())
+    return BBox(x - grow, y - grow, w + 2 * grow, h + 2 * grow)
 
 
 def _render(frame: np.ndarray, obj: ObjectSpec, box: BBox) -> bool:
+    """Draw obj at box, rounded to whole pixels; True when the frame clips it."""
     height, width = frame.shape
-    (cx0, cy0, cx1, cy1), clipped = _pixel_bounds(box, height, width)
-    if cx0 >= cx1 or cy0 >= cy1:
+    pixel_box = _pixel_box(box)
+    rows, cols = window = pixel_window(pixel_box, height, width)
+    if rows.start == rows.stop or cols.start == cols.stop:
         raise SceneError(
             f"object {obj.object_id} is fully outside the {height}x{width} frame at {box}"
         )
     if obj.shape == "rectangle":
-        frame[cy0:cy1, cx0:cx1] = obj.object_id
+        frame[window] = obj.object_id
     else:
         cx = box.x + (box.w - 1) / 2.0
         cy = box.y + (box.h - 1) / 2.0
         rx = box.w / 2.0
         ry = box.h / 2.0
-        rows = np.arange(cy0, cy1, dtype=np.float64)[:, None]
-        cols = np.arange(cx0, cx1, dtype=np.float64)[None, :]
-        inside = ((cols - cx) / rx) ** 2 + ((rows - cy) / ry) ** 2 <= 1.0
-        patch = frame[cy0:cy1, cx0:cx1]
-        patch[inside] = obj.object_id
-    return clipped
+        ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+        xs = np.arange(cols.start, cols.stop, dtype=np.float64)[None, :]
+        inside = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
+        frame[window][inside] = obj.object_id
+    return (rows.stop - rows.start, cols.stop - cols.start) != (pixel_box.h, pixel_box.w)
 
 
 def generate(cfg: SceneConfig):
@@ -310,8 +306,7 @@ def corrupt(label: np.ndarray, t: int, cfg: SceneConfig) -> Corruption:
     blob_events: list[BlobEvent] = []
     for obj in cfg.objects:
         true_box = analytic_box(obj, t)
-        (x0, y0, x1, y1), _ = _pixel_bounds(true_box, cfg.height, cfg.width, grow=1)
-        window = np.s_[y0:y1, x0:x1]
+        window = pixel_window(_pixel_box(true_box, grow=1), cfg.height, cfg.width)
         fg = label[window] == obj.object_id
         rng = base.spawn(obj.object_id)
         if spec.flip_prob > 0.0:

@@ -4,8 +4,8 @@ Each object's bounding box is tracked through the video; a box is predicted
 for the coming frame from the motion between the two previous boxes, turned
 into a binary attention gate, and multiplied into the object's predicted
 soft mask. The box is then reinitialized from the filtered mask, so the
-track follows what survives the gate. Masks are binarized at
-``boxes.MASK_THRESHOLD``, both into boxes and into the composed label.
+track follows what survives the gate. Masks are binarized by
+``boxes.foreground``, both into boxes and into the composed label.
 
 Frames are dicts mapping object id -> soft mask (H x W finite values in
 [0, 1]; a boolean mask counts as 0/1); an object missing from a frame is
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import MASK_THRESHOLD, BBox, apply_motion, attention_map, bbox_from_mask, box_delta
+from .boxes import BBox, apply_motion, attention_map, bbox_from_mask, box_delta, foreground
 
 SOURCE_WARMUP = "warmup"
 SOURCE_CV = "cv"
@@ -62,24 +62,24 @@ class FilteredFrame:
 
 
 def compose_label(channels: dict[int, np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """Argmax composition of soft channels into an integer label mask.
+    """Argmax composition of finite soft channels into an integer label mask.
 
-    A pixel takes the id of its largest channel when that value exceeds
-    MASK_THRESHOLD, and is background (0) otherwise; among tied objects the
-    smallest id wins. Computed with a running max instead of a stacked
-    argmax: the winner is the first channel attaining the max.
+    A pixel takes the id of its largest channel when that value is
+    ``foreground``, and is background (0) otherwise; among tied objects the
+    smallest id wins. Computed with a running max, kept in place in the
+    channels' promoted dtype, instead of a stacked argmax: the winner is the
+    first channel attaining the max.
     """
     if not channels:
         return np.zeros(shape, dtype=np.uint8)
     ids = sorted(channels)
-    best = channels[ids[0]]
+    best = channels[ids[0]].astype(np.result_type(*{channels[i].dtype for i in ids}))
     label = np.full(shape, ids[0], dtype=np.uint8)
     for oid in ids[1:]:
         ch = channels[oid]
-        better = ch > best
-        best = np.where(better, ch, best)
-        label[better] = oid
-    label[best <= MASK_THRESHOLD] = 0
+        label[ch > best] = oid
+        np.maximum(best, ch, out=best)
+    label *= foreground(best)
     return label
 
 

@@ -366,6 +366,30 @@ def test_filter_overlay_dump(built_corpus, tmp_path):
     assert set(np.unique(gate)) <= {0, 255}
 
 
+def test_filter_overlay_dump_renders_no_gate_of_its_own(built_corpus, tmp_path, monkeypatch):
+    # The overlays come from each row's gate box, so the filter renders
+    # every gate once with or without them.
+    import voskit.boxes
+    import voskit.tracker
+
+    attention_map = voskit.boxes.attention_map
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return attention_map(*args, **kwargs)
+
+    monkeypatch.setattr(voskit.boxes, "attention_map", counted)
+    monkeypatch.setattr(voskit.tracker, "attention_map", counted)
+    counts = []
+    for flags in ([], ["--dump-overlay"]):
+        calls.clear()
+        assert run(["filter", built_corpus, tmp_path / str(len(counts)), *flags]) == EXIT_OK
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
 # sha256 tree digests of `filter src cv --dump-overlay` and `filter src pt
 # --variant pt --weights w.tvck --dump-overlay --margin 0.3` on `synth
 # --sequences 2` of SCENE, with w.tvck from `train-pt src --out w.tvck

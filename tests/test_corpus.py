@@ -84,8 +84,20 @@ def test_pgm_rejects_pixels_above_maxval(tmp_path):
 def test_pgm_rejects_truncated_payload(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 9)
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match=r"short\.pgm: pixel data has 9 bytes, expected 16$"):
         read_pgm(path)
+
+
+def test_pgm_reads_its_pixels_into_a_writable_array_of_its_own(tmp_path):
+    # Bytes past width x height are ignored, and the frame owns its data,
+    # so a caller may write into it without touching the file's buffer.
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)) + b"trailing")
+    got = read_pgm(path)
+    np.testing.assert_array_equal(got, [[0, 1, 2], [3, 4, 5]])
+    assert got.flags.writeable and got.flags.owndata
+    got[0, 0] = 9
+    assert read_pgm(path)[0, 0] == 0
 
 
 @pytest.mark.parametrize("dims", [b"0 3", b"4 0", b"0 99999999999999999999999"])

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
+import synth_reference
 from synth_reference import corrupt as reference_corrupt
 
-from voskit.boxes import BBox
+from voskit.boxes import BBox, pixel_window
 from voskit.metrics import boundary_pixels, erode, jaccard
 from voskit.synth import (
     MAX_FRAME_SIDE,
@@ -23,6 +24,8 @@ from voskit.synth import (
     SceneError,
     SinusoidalMotion,
     _flip_band,
+    _pixel_box,
+    _render,
     analytic_box,
     corrupt,
     generate,
@@ -399,6 +402,43 @@ def test_flip_band_equals_shifted_copy_reference(fg):
     # the ring's inner half is the contour boundary: one erosion serves both
     assert np.array_equal(fg & ~erode(fg), band & fg)
     assert np.array_equal(boundary_pixels(fg), band & fg)
+
+
+# Box fields on a half-pixel grid (so .5 ties, which round to even, are
+# common) or anywhere nearby, reaching past every edge of a 1-12 px frame.
+box_fields = st.one_of(st.integers(-30, 30).map(lambda n: n / 2), st.floats(-16.0, 16.0))
+box_sizes = st.one_of(st.integers(0, 40).map(lambda n: n / 2), st.floats(0.0, 20.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(BBox, box_fields, box_fields, box_sizes, box_sizes),
+    st.sampled_from([0, 1]),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from(["rectangle", "ellipse"]),
+)
+def test_pixel_box_windows_equal_the_integer_spans_they_replace(box, grow, height, width, shape):
+    (x0, y0, x1, y1), clipped = synth_reference._pixel_bounds(box, height, width, grow)
+    rows, cols = pixel_window(_pixel_box(box, grow), height, width)
+    for window, lo, hi in ((rows, y0, y1), (cols, x0, x1)):
+        # An empty span may have hi < 0, which as a slice would count from the end.
+        assert window == slice(lo, hi) if lo < hi else window.start == window.stop
+    if grow or box.w < 1 or box.h < 1:
+        return
+    # _render draws, flags clipping and refuses a box outside the frame as
+    # the span arithmetic did.
+    obj = ObjectSpec(7, box, shape=shape)
+    frame, expected = np.zeros((2, height, width), dtype=np.uint8)
+    try:
+        ref_clipped = synth_reference.render(expected, obj, box)
+    except SceneError as exc:
+        with pytest.raises(SceneError, match=f"^{re.escape(str(exc))}$"):
+            _render(frame, obj, box)
+        return
+    assert ref_clipped == clipped
+    assert _render(frame, obj, box) == clipped
+    assert np.array_equal(frame, expected)
 
 
 def assert_corrupt_matches_reference(cfg):

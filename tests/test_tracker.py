@@ -301,17 +301,6 @@ def test_compose_label_empty_channels():
     assert label.shape == (3, 3) and label.sum() == 0
 
 
-def reference_compose_label(channels, shape):
-    """Stacked argmax in id order: the first maximum wins, and the label is
-    0 where the maximum is <= MASK_THRESHOLD."""
-    if not channels:
-        return np.zeros(shape, dtype=np.uint8)
-    ids = sorted(channels)
-    stack = np.stack([channels[oid] for oid in ids])
-    winner = np.asarray(ids)[np.argmax(stack, axis=0)]
-    return np.where(stack.max(axis=0) > MASK_THRESHOLD, winner, 0).astype(np.uint8)
-
-
 # Few distinct values, so ties between channels and with the threshold are
 # common, as are values one ulp either side of it.
 AROUND_THRESHOLD = [
@@ -327,18 +316,31 @@ soft_values = st.one_of(
 
 @st.composite
 def channel_dicts(draw):
+    """(shape, channels) with no id, one or several: all float64 soft
+    channels, all boolean, all 0/1 uint8, or a mix of boolean and float64."""
     shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
     ids = draw(st.lists(st.integers(1, 255), min_size=0, max_size=5, unique=True))
-    return shape, {oid: draw(hnp.arrays(np.float64, shape, elements=soft_values)) for oid in ids}
+    kind = draw(st.sampled_from([np.float64, bool, np.uint8, "mixed"]))
+    channels = {}
+    for oid in ids:
+        dtype = draw(st.sampled_from([bool, np.float64])) if kind == "mixed" else kind
+        if dtype is np.float64:
+            channels[oid] = draw(hnp.arrays(np.float64, shape, elements=soft_values))
+        else:
+            channels[oid] = draw(hnp.arrays(bool, shape)).astype(dtype)
+    return shape, channels
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(channel_dicts())
 def test_compose_label_equals_stacked_argmax_reference(case):
     shape, channels = case
+    before = {oid: ch.copy() for oid, ch in channels.items()}
     label = compose_label(channels, shape)
     assert label.dtype == np.uint8
-    assert np.array_equal(label, reference_compose_label(channels, shape))
+    assert np.array_equal(label, tracker_reference.compose_label(channels, shape))
+    for oid, ch in channels.items():  # the running max never writes into a channel
+        assert ch.dtype == before[oid].dtype and np.array_equal(ch, before[oid])
 
 
 def test_filter_labels_with_the_box_threshold():

@@ -6,7 +6,9 @@ branch, and the gate became ``boxes.pixel_window`` rendered as a boolean:
 ``attention_map`` clips its own edges into a uint8 0/1 map, and
 ``filter_stream`` has a warm-up branch plus a fallback nested in its gate
 branch. The reference the rewrite must equal exactly: the same boxes, gates
-(as booleans), labels and track rows."""
+(as booleans), labels and track rows. Its ``compose_label`` is the stacked
+argmax that the running max replaced, so the reference filter runs none of
+the code it checks."""
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from voskit.tracker import (
     SOURCE_WARMUP,
     FilteredFrame,
     TrackRow,
-    compose_label,
 )
 
 
@@ -55,6 +56,17 @@ def attention_map(box, height, width, margin_frac=0.1):
     if r0 < r1 and c0 < c1:
         out[r0:r1, c0:c1] = 1
     return out
+
+
+def compose_label(channels, shape):
+    """Stacked argmax in id order: the first maximum wins, and the label is
+    0 where the maximum is <= MASK_THRESHOLD."""
+    if not channels:
+        return np.zeros(shape, dtype=np.uint8)
+    ids = sorted(channels)
+    stack = np.stack([channels[oid] for oid in ids])
+    winner = np.asarray(ids)[np.argmax(stack, axis=0)]
+    return np.where(stack.max(axis=0) > MASK_THRESHOLD, winner, 0).astype(np.uint8)
 
 
 def filter_stream(frames, model=None, margin_frac=0.1):
