@@ -61,7 +61,8 @@ def main() -> None:
         print(
             f"  {t_in[0]:7.1f}   {predicted.dx:15.3f}   {t_out[0]:12.1f}   {t_in[0]:10.1f}"
         )
-    nxt = apply_motion(held_triples[0][2], predictor.predict_motion(Motion(*held_triples[0][0])))
+    t_in, _, prev = held_triples[0]
+    nxt = apply_motion(BBox(*prev), predictor.predict_motion(Motion(*t_in)))
     print(
         "\napplying the predicted motion to the previous box gives "
         f"x={nxt.x:.2f} y={nxt.y:.2f} w={nxt.w:.0f} h={nxt.h:.0f}"

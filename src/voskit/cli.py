@@ -227,7 +227,7 @@ def cmd_train_pt(args) -> int:
     from .motion_mlp import MotionPredictor, dataset_loss, extract_triples, train_pt
 
     _check_output_file(args.out)
-    triples = []
+    parts = []
     dims: tuple[int, int] | None = None
     for root in args.corpus:
         for seq in corpus.list_sequences(root):
@@ -246,9 +246,10 @@ def cmd_train_pt(args) -> int:
                     tracks.setdefault(oid, [])
                 for oid, track in tracks.items():
                     track.append(bbox_from_mask(frame == oid))
-            triples.extend(extract_triples(tracks))
-    if not triples:
+            parts.append(extract_triples(tracks))
+    if not any(map(len, parts)):
         raise corpus.CorpusError("no training examples (need runs of 3 boxes)")
+    triples = np.concatenate(parts)
     predictor = MotionPredictor.for_frame(dims[0], dims[1], seed=args.seed)
     # The corpus and every option are valid by now, so a ValueError means the
     # model left the finite range: pt_loss met a non-finite prediction, or

@@ -28,7 +28,7 @@ def _as_binary(mask: np.ndarray) -> np.ndarray:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    return m.astype(bool)
+    return m.astype(bool, copy=False)
 
 
 def _check_dims(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,12 +74,16 @@ def _matched(points: np.ndarray, keys: np.ndarray, tol: int, shape: tuple[int, i
     both sorted flat indices ``row * width + col`` (``np.flatnonzero``).
     Point (y, x) matches when row y + dy holds a key with a column in
     x +- isqrt(tol^2 - dy^2) for some dy; columns are clipped to the frame
-    so that a range never wraps into the next row."""
+    so that a range never wraps into the next row. Rows are tried nearest
+    first (dy = 0, -1, 1, -2, ...), where most points match, and the search
+    stops once every point has matched."""
     height, width = shape
     total = len(points)
     cols = points % width
     span = min(tol, height - 1)
-    for dy in range(-span, span + 1):
+    for dy in sorted(range(-span, span + 1), key=abs):
+        if not len(points):
+            break
         reach = math.isqrt(tol * tol - dy * dy)
         row = points - cols + dy * width
         lo = row + np.maximum(cols - reach, 0)
@@ -104,13 +108,12 @@ def contour_f(pred: np.ndarray, gt: np.ndarray, tolerance_px: int | None = None)
         raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
     # Every pair of pixels in the frame is closer than height + width.
     tol = min(tol, sum(p.shape))
-    p_any, g_any = bool(p.any()), bool(g.any())
-    if not p_any and not g_any:
-        return 1.0
-    if p_any != g_any:
-        return 0.0
+    # The frame edge counts as background, so only an empty mask has an
+    # empty boundary.
     pb = np.flatnonzero(boundary_pixels(p))
     gb = np.flatnonzero(boundary_pixels(g))
+    if not len(pb) or not len(gb):
+        return float(len(pb) == len(gb))
     precision = _matched(pb, gb, tol, p.shape) / len(pb)
     recall = _matched(gb, pb, tol, p.shape) / len(gb)
     if precision + recall == 0:

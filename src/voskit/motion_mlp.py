@@ -11,12 +11,13 @@ and denormalized on the way out. The output layer starts at zero, so an
 untrained predictor returns exactly the zero motion (a stationary-box prior)
 regardless of input.
 
-Training pairs come from box tracks: each run of three consecutive boxes of
-one object yields (input motion, target motion). The regression loss is
-smooth L1, scaled up by ``lambda_small`` whenever the predicted box would
-come out smaller than the target box, which penalizes the shrinking-box
-failure mode more than overshoot. The loss takes whole (..., 4) arrays of
-motions and boxes, so training and dataset scoring make one call per batch.
+Training examples come from box tracks: each run of three consecutive boxes
+of one object yields a row (input motion, target motion, moved box) of one
+(n, 3, 4) array. The regression loss is smooth L1, scaled up by
+``lambda_small`` whenever the predicted box would come out smaller than the
+target box, which penalizes the shrinking-box failure mode more than
+overshoot. The network and the loss take whole batches, so training and
+dataset scoring make one call per batch.
 
 A predictor keeps its ten parameter tensors in one contiguous float64 vector
 of PARAM_COUNT values, layer by layer, each layer's (fan_in, fan_out) weight
@@ -105,9 +106,6 @@ def mlp_forward(params, x: np.ndarray):
     keeps each layer's input, pre-activation and GeLU tanh for the backward
     pass."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0]:
         raise ValueError(f"expected (n, {LAYER_SIZES[0]}) inputs, got {x.shape}")
     activations = [x]
@@ -124,21 +122,16 @@ def mlp_forward(params, x: np.ndarray):
             tanhs.append(gelu_tanh(z))
             h = gelu(z, tanhs[-1])
         activations.append(h)
-    out = h[0] if squeeze else h
-    cache = {"activations": activations, "preacts": preacts, "tanhs": tanhs, "squeeze": squeeze}
-    return out, cache
+    return h, {"activations": activations, "preacts": preacts, "tanhs": tanhs}
 
 
 def mlp_backward(params, cache, grad_out: np.ndarray, out=None) -> list[dict[str, np.ndarray]]:
-    """Gradients of sum(grad_out * output) w.r.t. every parameter, written
-    into and returned as ``out``: {"weight", "bias"} layers such as
-    ``param_views`` of a flat gradient vector (of a new one when not
-    given)."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if cache["squeeze"]:
-        grad_out = grad_out[None, :]
+    """Gradients of sum(grad_out * output) w.r.t. every parameter, for the
+    (n, 4) ``grad_out`` of the batch that made ``cache``, written into and
+    returned as ``out``: {"weight", "bias"} layers such as ``param_views``
+    of a flat gradient vector (of a new one when not given)."""
     grads = param_views(np.empty(PARAM_COUNT)) if out is None else out
-    delta = grad_out
+    delta = np.asarray(grad_out, dtype=np.float64)
     last = len(params) - 1
     for i in range(last, -1, -1):
         if i != last:
@@ -220,24 +213,22 @@ def pt_loss(
     return scale * value.mean(axis=-1), scale[..., None] * grad / 4.0
 
 
-def extract_triples(tracks: dict[int, list[BBox | None]]) -> list[tuple[np.ndarray, np.ndarray, BBox]]:
-    """Training examples from per-object box tracks.
+def extract_triples(tracks: dict[int, list[BBox | None]]) -> np.ndarray:
+    """Training examples from per-object box tracks, as a float64 (n, 3, 4)
+    array.
 
     Every run of three consecutive present boxes (a, b, c) of one object
-    yields (motion b-a, motion c-b, prev box b). Gaps (None) break runs.
-    Object ids are visited in sorted order so the example order is stable.
+    yields the row (motion b-a, motion c-b, prev box b). Gaps (None) break
+    runs. Rows follow the sorted object ids, each track in time order, so
+    the example order is stable.
     """
-    triples = []
+    rows = []
     for object_id in sorted(tracks):
         boxes = tracks[object_id]
-        for i in range(len(boxes) - 2):
-            a, b, c = boxes[i], boxes[i + 1], boxes[i + 2]
-            if a is None or b is None or c is None:
-                continue
-            t_in = np.array(box_delta(b, a).as_tuple(), dtype=np.float64)
-            t_out = np.array(box_delta(c, b).as_tuple(), dtype=np.float64)
-            triples.append((t_in, t_out, b))
-    return triples
+        for a, b, c in zip(boxes, boxes[1:], boxes[2:]):
+            if a is not None and b is not None and c is not None:
+                rows += [box_delta(b, a).as_tuple(), box_delta(c, b).as_tuple(), b.as_tuple()]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3, 4)
 
 
 class MotionPredictor:
@@ -262,13 +253,14 @@ class MotionPredictor:
         return cls(scale=0.1 * math.hypot(height, width), seed=seed)
 
     def predict(self, motions: np.ndarray) -> np.ndarray:
-        """Refined motions for a (4,) or (n, 4) array of raw motions."""
+        """Refined motions for an (n, 4) batch of raw motions."""
         with np.errstate(over="ignore"):  # gelu_tanh's cube overflows where tanh is exactly +-1
             out, _ = mlp_forward(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
         return out * self.scale
 
     def predict_motion(self, motion: Motion) -> Motion:
-        return Motion(*self.predict(motion.as_tuple()).tolist())
+        """The refined motion of one raw motion, run as a one-row batch."""
+        return Motion(*self.predict([motion.as_tuple()])[0].tolist())
 
     def param_items(self):
         """(name, array) pairs naming each tensor, plus the scale."""
@@ -301,13 +293,6 @@ class MotionPredictor:
         return predictor
 
 
-def _stack_triples(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Input motions, target motions and previous boxes as (n, 4) arrays."""
-    rows = [(*t_in, *t_out, *prev.as_tuple()) for t_in, t_out, prev in triples]
-    stacked = np.array(rows, dtype=np.float64).reshape(len(rows), 12)
-    return stacked[:, :4], stacked[:, 4:8], stacked[:, 8:]
-
-
 def _mean_loss(values: np.ndarray) -> float:
     """Mean of per-example losses, 0 for none. The sum runs left to right
     like a running total; np.sum adds pairwise and can round differently."""
@@ -315,10 +300,11 @@ def _mean_loss(values: np.ndarray) -> float:
 
 
 def dataset_loss(predictor: MotionPredictor | None, triples, lambda_small: float = 2.0) -> float:
-    """Mean pt_loss over a triple list, scoring the predictor's motions from
-    one batched forward pass, or with ``predictor=None`` the constant-velocity
-    baseline, which repeats the input motion."""
-    t_in, t_out, prev = _stack_triples(triples)
+    """Mean pt_loss over the (n, 3, 4) rows of ``extract_triples``, scoring
+    the predictor's motions from one batched forward pass, or with
+    ``predictor=None`` the constant-velocity baseline, which repeats the
+    input motion."""
+    t_in, t_out, prev = np.reshape(triples, (-1, 3, 4)).transpose(1, 0, 2)
     pred = t_in if predictor is None else predictor.predict(t_in)
     return _mean_loss(pt_loss(pred, t_out, prev, lambda_small)[0])
 
@@ -333,7 +319,8 @@ def train_pt(
     weight_decay: float = 0.0,
     seed: int = 0,
 ) -> list[float]:
-    """Train the predictor in place; returns the per-epoch mean loss.
+    """Train the predictor in place on the (n, 3, 4) rows of
+    ``extract_triples``; returns the per-epoch mean loss.
 
     Plain minibatch descent: examples are reshuffled each epoch from a
     deterministic stream, grouped into batches of ``batch``, and each batch
@@ -343,7 +330,7 @@ def train_pt(
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    t_in, t_out, prev = _stack_triples(triples)
+    t_in, t_out, prev = np.reshape(triples, (-1, 3, 4)).transpose(1, 0, 2)
     x = t_in / predictor.scale
     n = len(t_in)
     optimizer = Adam(lr=lr, weight_decay=weight_decay)

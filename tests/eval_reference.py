@@ -1,7 +1,13 @@
 """The whole-sequence ``evaluate_sequence`` that ``voskit.metrics`` ran
 before it streamed frame pairs: it copies both sequences into lists, scans
 them for ids up front and scores every id on every frame. The slow
-reference the streaming version must equal exactly."""
+reference the streaming version must equal exactly.
+
+Also the contour matching count ``_matched`` as it was before it tried the
+nearest rows first: every row offset from -tol to +tol, in order, with no
+early stop. The count must be the same."""
+
+import math
 
 import numpy as np
 
@@ -53,3 +59,18 @@ def evaluate_sequence(pred_seq, gt_seq) -> SequenceEval:
         out.mean_j = 1.0
         out.mean_f = 1.0
     return out
+
+
+def matched(points: np.ndarray, keys: np.ndarray, tol: int, shape: tuple[int, int]) -> int:
+    height, width = shape
+    total = len(points)
+    cols = points % width
+    span = min(tol, height - 1)
+    for dy in range(-span, span + 1):
+        reach = math.isqrt(tol * tol - dy * dy)
+        row = points - cols + dy * width
+        lo = row + np.maximum(cols - reach, 0)
+        hi = row + np.minimum(cols + reach, width - 1)
+        missed = np.searchsorted(keys, lo) == np.searchsorted(keys, hi, side="right")
+        points, cols = points[missed], cols[missed]
+    return total - len(points)

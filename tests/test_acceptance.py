@@ -242,8 +242,8 @@ def test_criterion_4_pt_matches_cv_and_beats_it_under_acceleration():
         oid += 1
     errors = []
     for t_in, t_out, prev in extract_triples(held):
-        predicted = apply_motion(prev, predictor.predict_motion(Motion(*t_in)))
-        truth = apply_motion(prev, Motion(*t_out))
+        predicted = apply_motion(BBox(*prev), predictor.predict_motion(Motion(*t_in)))
+        truth = apply_motion(BBox(*prev), Motion(*t_out))
         errors.append(
             np.abs(np.array(predicted.as_tuple()) - np.array(truth.as_tuple()))
         )

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from eval_reference import evaluate_sequence as reference_evaluate_sequence
+from eval_reference import matched as reference_matched
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -10,6 +11,7 @@ from scipy import ndimage
 
 from voskit.corpus import CorpusError
 from voskit.metrics import (
+    _matched,
     boundary_pixels,
     contour_f,
     contour_tolerance,
@@ -134,6 +136,26 @@ def test_contour_f_equals_reference_at_wide_tolerances(pair, tol):
     # ranges are clipped at both edges.
     pred, gt = pair
     assert contour_f(pred, gt, tolerance_px=tol) == reference_contour_f(pred, gt, tol)
+
+
+@st.composite
+def matching_sets(draw):
+    """A frame shape, two sorted sets of its flat pixel indices (rows and
+    columns drawn often at the frame edges) and a tolerance: 0-20, or at
+    least the frame height, up to the height + width cap of contour_f."""
+    height, width = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rows = st.one_of(st.integers(0, height - 1), st.sampled_from([0, height - 1]))
+    cols = st.one_of(st.integers(0, width - 1), st.sampled_from([0, width - 1]))
+    pixels = st.builds(lambda y, x: y * width + x, rows, cols)
+    points, keys = (np.array(sorted(draw(st.sets(pixels, max_size=60))), dtype=np.intp) for _ in range(2))
+    tol = draw(st.one_of(st.integers(0, 20), st.integers(height, height + width)))
+    return points, keys, tol, (height, width)
+
+
+@settings(max_examples=500, deadline=None)
+@given(matching_sets())
+def test_nearest_rows_first_matching_counts_equal_the_full_scan(case):
+    assert _matched(*case) == reference_matched(*case)
 
 
 def test_contour_f_tolerance_beyond_the_frame_matches_everything():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from voskit.motion_mlp import (
 )
 from voskit.rng import Rng
 
+import motion_reference
 from fd_reference import central_diff
 
 
@@ -137,8 +139,8 @@ def test_forward_matches_loop_oracle():
     params[-1]["bias"] = rng.uniform_range(-0.1, 0.1, 4)
     for seed in range(5):
         x = Rng(seed).uniform_range(-1.0, 1.0, 4)
-        out, _ = mlp_forward(params, x)
-        assert np.allclose(out, forward_loops(params, x), atol=1e-12)
+        out, _ = mlp_forward(params, x[None, :])
+        assert np.allclose(out[0], forward_loops(params, x), atol=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -147,13 +149,29 @@ def test_forward_batch_matches_single():
     xs = Rng(5).uniform_range(-1, 1, 12).reshape(3, 4)
     batch_out, _ = mlp_forward(params, xs)
     for i in range(3):
-        single, _ = mlp_forward(params, xs[i])
-        assert np.allclose(batch_out[i], single, atol=1e-14)
+        single, _ = mlp_forward(params, xs[i : i + 1])
+        assert np.allclose(batch_out[i], single[0], atol=1e-14)
 
 
 def test_forward_rejects_bad_width():
-    with pytest.raises(ValueError):
-        mlp_forward(init_params(0), np.zeros(5))
+    model = MotionPredictor.for_frame(120, 200)
+    # a single motion is a one-row batch; (4,) is not one
+    for bad in (np.zeros(5), np.zeros(4), np.zeros((2, 5)), np.zeros((1, 2, 4))):
+        shape = re.escape(str(bad.shape))
+        with pytest.raises(ValueError, match=shape):
+            mlp_forward(init_params(0), bad)
+        with pytest.raises(ValueError, match=shape):
+            model.predict(bad)
+
+
+def test_predict_motion_is_predict_of_a_one_row_batch():
+    model = MotionPredictor.for_frame(120, 200, seed=5)
+    model.params[-1]["weight"][...] = Rng(6).uniform_range(-0.5, 0.5, 256).reshape(64, 4)
+    for seed in range(5):
+        motion = Motion(*Rng(seed).uniform_range(-20, 20, 4).tolist())
+        batch = model.predict(np.array([motion.as_tuple()]))
+        assert batch.shape == (1, 4)
+        assert same_bits(model.predict_motion(motion).as_tuple(), batch[0])
 
 
 def test_zero_init_network_outputs_zero_motion():
@@ -169,9 +187,9 @@ def test_zero_init_network_outputs_zero_motion():
 
 def test_backward_zero_upstream_gives_zero_grads():
     params = init_params(0)
-    x = np.ones(4)
+    x = np.ones((1, 4))
     _, cache = mlp_forward(params, x)
-    grads = mlp_backward(params, cache, np.zeros(4))
+    grads = mlp_backward(params, cache, np.zeros((1, 4)))
     for g in grads:
         assert np.all(g["weight"] == 0.0) and np.all(g["bias"] == 0.0)
 
@@ -180,8 +198,8 @@ def test_backward_first_layer_fd_spot_check():
     params = init_params(11)
     rng = Rng(12)
     params[-1]["weight"] = rng.uniform_range(-0.5, 0.5, 256).reshape(64, 4)
-    x = rng.uniform_range(-1, 1, 4)
-    c = rng.uniform_range(-1, 1, 4)
+    x = rng.uniform_range(-1, 1, 4).reshape(1, 4)
+    c = rng.uniform_range(-1, 1, 4).reshape(1, 4)
     _, cache = mlp_forward(params, x)
     analytic = mlp_backward(params, cache, c)
 
@@ -229,8 +247,8 @@ def test_backward_batch_is_sum_of_singles():
     batch = mlp_backward(params, cache, cs)
     singles = []
     for i in range(2):
-        _, c1 = mlp_forward(params, xs[i])
-        singles.append(mlp_backward(params, c1, cs[i]))
+        _, c1 = mlp_forward(params, xs[i : i + 1])
+        singles.append(mlp_backward(params, c1, cs[i : i + 1]))
     for layer in range(len(params)):
         summed = singles[0][layer]["weight"] + singles[1][layer]["weight"]
         assert np.allclose(batch[layer]["weight"], summed, atol=1e-12)
@@ -469,14 +487,36 @@ def test_extract_triples_counts_and_values():
     t_in, t_out, prev = triples[0]
     assert np.allclose(t_in, [2, 1, 0, 0])
     assert np.allclose(t_out, [2, 1, 0, 0])
-    assert prev == boxes[1]
+    assert BBox(*prev) == boxes[1]
 
 
 def test_extract_triples_gaps_break_runs():
     boxes = [BBox(0, 0, 5, 5), BBox(1, 0, 5, 5), None, BBox(3, 0, 5, 5), BBox(4, 0, 5, 5)]
-    assert extract_triples({1: boxes}) == []
+    assert extract_triples({1: boxes}).shape == (0, 3, 4)
     boxes.append(BBox(5, 0, 5, 5))
     assert len(extract_triples({1: boxes})) == 1
+
+
+fields = st.one_of(st.integers(-50, 50), st.floats(-1e3, 1e3), st.sampled_from([1e300, -1e300]))
+extents = st.one_of(st.integers(0, 50), st.floats(0.0, 1e3), st.just(1e300))
+maybe_boxes = st.one_of(st.none(), st.builds(BBox, fields, fields, extents, extents))
+
+
+@st.composite
+def box_tracks(draw):
+    """Up to five tracks of 0-8 boxes with None gaps, keyed by ids inserted
+    in any order; fields are integers, fractions or +-1e300."""
+    ids = draw(st.permutations(draw(st.lists(st.integers(-5, 9), unique=True, max_size=5))))
+    return {oid: draw(st.lists(maybe_boxes, max_size=8)) for oid in ids}
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_tracks())
+def test_extract_triples_equals_the_stacked_tuple_reference(tracks):
+    got = extract_triples(tracks)
+    want = np.stack(motion_reference.stack_triples(motion_reference.extract_triples(tracks)), axis=1)
+    assert got.dtype == np.float64 and got.shape == want.shape == (len(want), 3, 4)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_extract_triples_visits_objects_in_sorted_order():
@@ -492,13 +532,12 @@ def test_extract_triples_visits_objects_in_sorted_order():
 
 def cv_triples(n=40, seed=0):
     rng = Rng(seed)
-    triples = []
-    for _ in range(n):
+    tracks = {}
+    for oid in range(n):
         v = rng.uniform_range(-6, 6, 2)
         x, y = rng.uniform_range(50, 400, 2)
-        boxes = [BBox(x + v[0] * k, y + v[1] * k, 30, 24) for k in range(3)]
-        triples.extend(extract_triples({1: boxes}))
-    return triples
+        tracks[oid] = [BBox(x + v[0] * k, y + v[1] * k, 30, 24) for k in range(3)]
+    return extract_triples(tracks)
 
 
 def test_train_learns_identity_on_constant_velocity():
@@ -565,16 +604,16 @@ def varied_triples(n=12, seed=0):
 # The dataset losses and the training loop as first written, one example at a
 # time: the references for dataset_loss and train_pt.
 def reference_dataset_loss(predictor, triples, lambda_small=2.0):
-    if not triples:
+    if not len(triples):
         return 0.0
     total = 0.0
     for t_in, t_out, prev in triples:
         if predictor is None:
             pred = t_in
         else:
-            out, _ = mlp_forward(predictor.params, t_in / predictor.scale)
-            pred = out * predictor.scale
-        value, _ = reference_pt_loss(pred, t_out, prev, lambda_small)
+            out, _ = mlp_forward(predictor.params, t_in[None, :] / predictor.scale)
+            pred = out[0] * predictor.scale
+        value, _ = reference_pt_loss(pred, t_out, BBox(*prev), lambda_small)
         total += value
     return total / len(triples)
 
@@ -595,12 +634,12 @@ def reference_train_pt(predictor, triples, epochs, batch, lr, lambda_small, weig
             for row, idx in enumerate(chunk):
                 _, t_out, prev = triples[idx]
                 pred = out[row] * predictor.scale
-                value, grad_pred = reference_pt_loss(pred, t_out, prev, lambda_small)
+                value, grad_pred = reference_pt_loss(pred, t_out, BBox(*prev), lambda_small)
                 total += value
                 grad_out[row] = grad_pred * predictor.scale / len(chunk)
             grads = mlp_backward(predictor.params, cache, grad_out)
             optimizer.step(predictor.params, grads)
-        history.append(total / len(triples) if triples else 0.0)
+        history.append(total / len(triples) if len(triples) else 0.0)
     return history
 
 
