@@ -40,7 +40,7 @@ def write_pgm(path, mask: np.ndarray) -> None:
     height, width = m.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(m).tobytes())
+        fh.write(np.ascontiguousarray(m).data)
 
 
 def _read_header_tokens(blob: bytes, path) -> tuple[list[int], int]:

@@ -4,7 +4,8 @@ A small fully connected network maps a raw box motion (dx, dy, dw, dh) to a
 refined motion for the next frame. Layer widths are fixed at
 [4, 64, 64, 64, 64, 4] with GeLU between layers; forward, backward, and the
 Adam optimizer are written out explicitly so training is reproducible to the
-bit on any platform.
+bit on any platform. GeLU, its derivative and Adam compute in place, to the
+bit what the textbook operation order gives.
 
 Motions are normalized by 0.1 * frame diagonal before entering the network
 and denormalized on the way out. The output layer starts at zero, so an
@@ -17,7 +18,9 @@ of one object yields a row (input motion, target motion, moved box) of one
 ``lambda_small`` whenever the predicted box would come out smaller than the
 target box, which penalizes the shrinking-box failure mode more than
 overshoot. The network and the loss take whole batches, so training and
-dataset scoring make one call per batch.
+dataset scoring make one call per batch. A training run checks its fixed
+targets and boxes once and each step's prediction only, and gathers each
+epoch's shuffled rows once, so its batches are slices.
 
 A predictor keeps its ten parameter tensors in one contiguous float64 vector
 of PARAM_COUNT values, layer by layer, each layer's (fan_in, fan_out) weight
@@ -49,23 +52,51 @@ def gelu_tanh(x: np.ndarray) -> np.ndarray:
     """tanh(sqrt(2/pi) (x + 0.044715 x^3)), the factor GeLU and its
     derivative share."""
     x = np.asarray(x, dtype=np.float64)
-    return np.tanh(GELU_COEFF * (x + 0.044715 * (x * x * x)))
+    if not x.ndim:  # numpy returns 0-d results as scalars, which take no out=
+        return gelu_tanh(x.reshape(1))[0]
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= GELU_COEFF
+    return np.tanh(t, out=t)
 
 
+# gelu and gelu_grad build their result in place and move each factor 0.5 to
+# where it scales a whole term. A product or sum scaled by 0.5 rounds to the
+# same double either way, and no term here overflows or goes subnormal where
+# that would differ (1 + t is 0 or at least 2^-53, and 1 + t == 1 wherever x
+# is tiny), so both equal the textbook order bit for bit.
 def gelu(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Tanh-form GeLU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
     ``t`` is ``gelu_tanh(x)`` when the caller already has it."""
     x = np.asarray(x, dtype=np.float64)
-    t = gelu_tanh(x) if t is None else t
-    return 0.5 * x * (1.0 + t)
+    g = (gelu_tanh(x) if t is None else t) + 1.0
+    g *= 0.5
+    g *= x
+    return g
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """d gelu / dx; ``t`` is ``gelu_tanh(x)`` when the caller already has it."""
+    """d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 0.044715
+    x^2), with t = ``gelu_tanh(x)``; pass ``t`` when the caller already has
+    it."""
     x = np.asarray(x, dtype=np.float64)
     t = gelu_tanh(x) if t is None else t
-    dinner = GELU_COEFF * (1.0 + 3.0 * 0.044715 * x**2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+    if not x.ndim:
+        return gelu_grad(x.reshape(1), np.reshape(t, 1))[0]
+    g = x * x
+    g *= 3.0 * 0.044715
+    g += 1.0
+    g *= GELU_COEFF
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    s *= x
+    g *= s
+    np.add(t, 1.0, out=s)
+    g += s
+    g *= 0.5
+    return g
 
 
 def init_params(seed: int = 0) -> list[dict[str, np.ndarray]]:
@@ -135,9 +166,10 @@ def mlp_backward(params, cache, grad_out: np.ndarray, out=None) -> list[dict[str
     last = len(params) - 1
     for i in range(last, -1, -1):
         if i != last:
-            delta = delta * gelu_grad(cache["preacts"][i], cache["tanhs"][i])
+            # delta came from the previous iteration's matmul, so it is ours to scale
+            delta *= gelu_grad(cache["preacts"][i], cache["tanhs"][i])
         np.matmul(cache["activations"][i].T, delta, out=grads[i]["weight"])
-        delta.sum(axis=0, out=grads[i]["bias"])
+        np.add.reduce(delta, axis=0, out=grads[i]["bias"])
         if i > 0:
             delta = delta @ params[i]["weight"].T
     return grads
@@ -147,29 +179,49 @@ def mlp_backward(params, cache, grad_out: np.ndarray, out=None) -> list[dict[str
 class Adam:
     """Decoupled-weight-decay Adam over one flat parameter vector, with the
     moment decays ADAM_BETA1 and ADAM_BETA2 and the denominator guard
-    ADAM_EPS; ``m`` and ``v`` are vectors of the same layout."""
+    ADAM_EPS; ``m`` and ``v`` are vectors of the same layout, updated in
+    place through two scratch vectors of that layout."""
 
     lr: float = 1e-3
     weight_decay: float = 0.0
     step_count: int = field(default=0, init=False)
     m: np.ndarray | None = field(default=None, init=False)
     v: np.ndarray | None = field(default=None, init=False)
+    _scratch: tuple = field(default=(), init=False, repr=False)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         """Update the 1-D ``flat`` in place from its gradient ``grad``."""
         if self.m is None:
             self.m = np.zeros_like(flat)
             self.v = np.zeros_like(flat)
+            self._scratch = (np.empty_like(flat), np.empty_like(flat))
         self.step_count += 1
         t = self.step_count
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
-        m_hat = self.m / (1.0 - ADAM_BETA1**t)
-        v_hat = self.v / (1.0 - ADAM_BETA2**t)
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v, (update, s) = self.m, self.v, self._scratch
+        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(grad, grad, out=s)
+        s *= 1.0 - ADAM_BETA2
+        v += s
+        # update = m_hat / (sqrt(v_hat) + eps) (+ weight_decay flat); from
+        # step 356 on, 1 - b1^t rounds to 1.0 and m_hat is m to the bit
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        m_bias = 1.0 - ADAM_BETA1**t
+        if m_bias == 1.0:
+            np.divide(m, s, out=update)
+        else:
+            np.divide(m, m_bias, out=update)
+            update /= s
         if self.weight_decay:
-            update = update + self.weight_decay * flat
-        flat -= self.lr * update
+            np.multiply(flat, self.weight_decay, out=s)
+            update += s
+        update *= self.lr
+        flat -= update
 
 
 def smooth_l1(diff: np.ndarray):
@@ -203,14 +255,35 @@ def pt_loss(
     pred, target, prev = (np.asarray(a, dtype=np.float64) for a in (pred, target, prev))
     if pred.shape[-1:] != (4,) or not pred.shape == target.shape == prev.shape:
         raise ValueError(f"need one (..., 4) shape, got {pred.shape} {target.shape} {prev.shape}")
+    _check_targets(target, prev, lambda_small)
+    return _pt_loss(pred, target, prev, _moved_area(prev, target), lambda_small)
+
+
+def _check_targets(target: np.ndarray, prev: np.ndarray, lambda_small: float) -> None:
+    """The checks of pt_loss that a training run's fixed data passes once."""
     if lambda_small < 1.0:
         raise ValueError(f"lambda_small must be >= 1, got {lambda_small}")
-    if not all(np.isfinite(a).all() for a in (pred, target, prev)):
+    if not (np.isfinite(target).all() and np.isfinite(prev).all()):
         raise ValueError("motions and boxes must be finite")
-    pred_wh, target_wh = (np.maximum(prev[..., 2:] + m[..., 2:], MIN_BOX_SIZE) for m in (pred, target))
-    scale = np.where(pred_wh.prod(axis=-1) < target_wh.prod(axis=-1), lambda_small, 1.0)
+
+
+def _moved_area(prev: np.ndarray, motion: np.ndarray) -> np.ndarray:
+    """Areas of the boxes ``prev`` moved by ``motion``, each size clamped at
+    MIN_BOX_SIZE."""
+    return np.multiply.reduce(np.maximum(prev[..., 2:] + motion[..., 2:], MIN_BOX_SIZE), axis=-1)
+
+
+def _pt_loss(pred, target, prev, target_area, lambda_small):
+    """pt_loss of float64 arrays of one shape whose ``target``, ``prev`` and
+    ``lambda_small`` passed ``_check_targets``; ``target_area`` is
+    ``_moved_area(prev, target)``."""
+    if not np.isfinite(pred).all():
+        raise ValueError("motions and boxes must be finite")
+    scale = np.where(_moved_area(prev, pred) < target_area, lambda_small, 1.0)
     value, grad = smooth_l1(pred - target)
-    return scale * value.mean(axis=-1), scale[..., None] * grad / 4.0
+    grad *= scale[..., None]
+    grad /= 4.0
+    return scale * (np.add.reduce(value, axis=-1) / 4.0), grad
 
 
 def extract_triples(tracks: dict[int, list[BBox | None]]) -> np.ndarray:
@@ -331,7 +404,10 @@ def train_pt(
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     t_in, t_out, prev = np.reshape(triples, (-1, 3, 4)).transpose(1, 0, 2)
-    x = t_in / predictor.scale
+    _check_targets(t_out, prev, lambda_small)
+    # (input / scale, target, prev box) planes, regathered in each epoch's order
+    data = np.stack([t_in / predictor.scale, t_out, prev])
+    target_area = _moved_area(prev, t_out)
     n = len(t_in)
     optimizer = Adam(lr=lr, weight_decay=weight_decay)
     grad = np.empty(PARAM_COUNT)
@@ -341,13 +417,19 @@ def train_pt(
     for epoch in range(epochs):
         order = np.arange(n)
         rng.spawn(epoch).shuffle(order)
+        x, target, boxes = data[:, order]
+        areas = target_area[order]
         losses = np.empty(n)
         for start in range(0, n, batch):
-            chunk = order[start : start + batch]
-            out, cache = mlp_forward(predictor.params, x[chunk])
-            values, grad_pred = pt_loss(out * predictor.scale, t_out[chunk], prev[chunk], lambda_small)
-            losses[start : start + len(chunk)] = values
-            mlp_backward(predictor.params, cache, grad_pred * predictor.scale / len(chunk), grad_layers)
+            rows = slice(start, start + batch)
+            out, cache = mlp_forward(predictor.params, x[rows])
+            values, grad_pred = _pt_loss(
+                out * predictor.scale, target[rows], boxes[rows], areas[rows], lambda_small
+            )
+            losses[rows] = values
+            grad_pred *= predictor.scale
+            grad_pred /= len(values)
+            mlp_backward(predictor.params, cache, grad_pred, grad_layers)
             optimizer.step(predictor.flat, grad)
         history.append(_mean_loss(losses))
     return history

@@ -5,23 +5,29 @@ single integer seed, independent of platform, process or chunking of the
 draw calls. The generator here is SplitMix64 driven by a counter: draw i of
 stream `seed` is ``mix64(seed + (i + 1) * GOLDEN)``. Because each output
 depends only on (seed, i), draws can be produced one at a time or as numpy
-batches with identical results.
+batches with identical results: a single integer draw runs the same
+arithmetic on Python ints masked to 64 bits instead of on a one-element
+array.
 
 Constants are the standard SplitMix64 ones (Steele, Lea & Flood).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    """SplitMix64's output mix of uint64 values; wraps modulo 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
@@ -29,7 +35,7 @@ class Rng:
     """SplitMix64 stream addressed by (seed, draw counter)."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = seed & _MASK
         self._counter = 0
 
     def uint64(self, n: int) -> np.ndarray:
@@ -39,22 +45,25 @@ class Rng:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):
-            return _mix64(self._seed + idx * _GOLDEN)
+            return _mix64(np.uint64(self._seed) + idx * np.uint64(_GOLDEN))
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1), using the top 53 bits of each draw."""
         return (self.uint64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def integers(self, low: int, high: int, n: int = 1) -> np.ndarray:
-        """n integers uniform in [low, high] inclusive (floor of a uniform;
-        bias is negligible for the small ranges used here)."""
+    def integer1(self, low: int, high: int) -> int:
+        """One integer uniform in [low, high] inclusive: the floor of the
+        next ``uniform`` draw times the span (bias is negligible for the
+        small ranges used here). Computed on Python ints, to the bit what
+        the numpy stream gives."""
         if high < low:
             raise ValueError("empty integer range")
-        span = high - low + 1
-        return low + np.floor(self.uniform(n) * span).astype(np.int64)
-
-    def integer1(self, low: int, high: int) -> int:
-        return int(self.integers(low, high, 1)[0])
+        self._counter += 1
+        z = (self._seed + self._counter * _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        z ^= z >> 31
+        return low + math.floor((z >> 11) * 2.0**-53 * (high - low + 1))
 
     def uniform_range(self, low: float, high: float, n: int = 1) -> np.ndarray:
         return low + (high - low) * self.uniform(n)
@@ -69,5 +78,5 @@ class Rng:
     def spawn(self, key: int) -> "Rng":
         """Independent child stream; deterministic in (seed, key)."""
         with np.errstate(over="ignore"):
-            child = _mix64(np.asarray(self._seed + np.uint64(key) * _MIX2))
+            child = _mix64(np.asarray(np.uint64(self._seed) + np.uint64(key) * np.uint64(_MIX2)))
         return Rng(int(child))

@@ -66,19 +66,21 @@ def compose_label(channels: dict[int, np.ndarray], shape: tuple[int, int]) -> np
 
     A pixel takes the id of its largest channel when that value is
     ``foreground``, and is background (0) otherwise; among tied objects the
-    smallest id wins. Computed with a running max, kept in place in the
-    channels' promoted dtype, instead of a stacked argmax: the winner is the
-    first channel attaining the max.
+    smallest id wins. Computed with a running max instead of a stacked
+    argmax: the winner is the first channel attaining the max. The max of
+    the first two channels makes the running max, in the promoted dtype of
+    all the channels, and each later channel updates it in place.
     """
     if not channels:
         return np.zeros(shape, dtype=np.uint8)
     ids = sorted(channels)
-    best = channels[ids[0]].astype(np.result_type(*{channels[i].dtype for i in ids}))
+    dtype = np.result_type(*{channels[i].dtype for i in ids})
+    best = channels[ids[0]]
     label = np.full(shape, ids[0], dtype=np.uint8)
-    for oid in ids[1:]:
+    for k, oid in enumerate(ids[1:]):
         ch = channels[oid]
         label[ch > best] = oid
-        np.maximum(best, ch, out=best)
+        best = np.maximum(best, ch, dtype=dtype, out=best if k else None)
     label *= foreground(best)
     return label
 

@@ -137,8 +137,8 @@ def test_criterion_2_loss_identities():
 
 def cv_oracle_scene(seed: int) -> SceneConfig:
     rng = Rng(seed)
-    vx = int(rng.integers(2, 5)[0]) * (1 if seed % 2 else -1)
-    vy = int(rng.integers(1, 3)[0])
+    vx = rng.integer1(2, 5) * (1 if seed % 2 else -1)
+    vy = rng.integer1(1, 3)
     x0 = 380 if vx < 0 else 60
     return SceneConfig(
         height=480,
@@ -292,7 +292,7 @@ def test_criterion_5_metrics_match_brute_force_recount():
                 x = 4 + 3 * t + 20 * (oid - 1)
                 y = 6 + 10 * (oid - 1)
                 gt[y : y + 8, x : x + 9] = oid
-                jx = int(rng.integers(0, 2)[0])
+                jx = rng.integer1(0, 2)
                 pred[y : y + 8, x + jx : x + 9 + jx] = oid
             gt_seq.append(gt)
             pred_seq.append(pred)

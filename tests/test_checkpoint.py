@@ -276,10 +276,10 @@ def test_save_load_survives_random_stores(tmp_path):
     for seed in range(5):
         rng = Rng(seed)
         store = ParamStore()
-        n = int(rng.integers(1, 6)[0])
+        n = rng.integer1(1, 6)
         for i in range(n):
-            ndim = int(rng.integers(1, 3)[0])
-            dims = tuple(int(d) for d in rng.integers(1, 5, ndim))
+            ndim = rng.integer1(1, 3)
+            dims = tuple(rng.integer1(1, 5) for _ in range(ndim))
             store.add(f"p{i}", rng.uniform(int(np.prod(dims))).reshape(dims))
         path = tmp_path / f"r{seed}.tvck"
         save(store, path)

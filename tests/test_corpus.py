@@ -168,6 +168,28 @@ def test_pgm_converts_byte_range_values_and_rejects_others(tmp_path):
         write_pgm(tmp_path / "g.pgm", np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.arange(48, dtype=np.uint8).reshape(6, 8)[::2, 1::3],  # strided view
+        np.arange(48, dtype=np.uint8).reshape(6, 8).T,  # Fortran order
+        np.arange(48, dtype=np.uint8).reshape(6, 8)[:, ::-1],  # negative stride
+        np.arange(48, dtype=np.int64).reshape(6, 8)[1:, :5] * 5,  # int64 view
+        np.array([[0.0, 255.0], [3.0, 7.9]]),  # float64, truncated on the way
+        np.zeros((3, 0), dtype=np.uint8),  # no pixels
+    ],
+    ids=["strided", "fortran", "reversed", "int64", "float64", "empty"],
+)
+def test_pgm_writes_the_bytes_of_a_contiguous_uint8_copy(tmp_path, mask):
+    """A non-contiguous or non-uint8 mask writes the same file as its
+    contiguous uint8 copy's bytes did."""
+    path = tmp_path / "m.pgm"
+    write_pgm(path, mask)
+    height, width = mask.shape
+    pixels = np.ascontiguousarray(mask.astype(np.uint8)).tobytes()
+    assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode("ascii") + pixels
+
+
 def masks(n, shape=(6, 8)):
     out = []
     for t in range(n):

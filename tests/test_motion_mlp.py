@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from voskit.boxes import BBox, Motion, apply_motion
-from voskit.gradcheck import max_err
+from voskit.gradcheck import check_mlp, max_err
 from voskit.motion_mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -79,6 +80,49 @@ def test_gelu_tanh_matches_the_power_form_to_the_spacing_of_one(x):
 def test_gelu_tanh_equals_the_power_form_at_zero_and_unit_inputs():
     x = np.array([0.0, 1.0, -1.0])
     assert gelu_tanh(x).tobytes() == gelu_tanh_reference(x).tobytes()
+
+
+# Moderate values, tanh's saturation, signed zeros and subnormals (where
+# 0.5 x rounds), and values whose square or cube overflows.
+gelu_inputs = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 3 * 5e-324, 2.2250738585072014e-308, 1e-17, -1e-17, 1e154, -1e154]
+        + [1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf]
+    ),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def gelu_arrays(draw):
+    """0-d values, (n, 64) batches, the (k, n, 64) stacks check_mlp runs, and
+    strided and transposed (n, 64) views."""
+    kind = draw(st.sampled_from(["0-d", "batch", "stack", "strided", "transposed"]))
+    if kind == "0-d":
+        return np.array(draw(gelu_inputs))
+    n = draw(st.integers(1, 4))
+    shape = {"batch": (n, 64), "stack": (draw(st.integers(1, 3)), n, 64), "strided": (n, 128), "transposed": (64, n)}
+    x = draw(hnp.arrays(np.float64, shape[kind], elements=gelu_inputs))
+    return x[:, ::2] if kind == "strided" else x.T if kind == "transposed" else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(gelu_arrays())
+def test_in_place_gelu_equals_the_out_of_place_reference(x):
+    before = x.copy()
+    with np.errstate(all="ignore"):
+        t = gelu_tanh(x)
+        assert same_bits(t, motion_reference.gelu_tanh(x))
+        t_before = np.copy(t)
+        for t_arg in (None, t):
+            assert same_bits(gelu(x, t_arg), motion_reference.gelu(x, t_arg))
+            assert same_bits(gelu_grad(x, t_arg), motion_reference.gelu_grad(x, t_arg))
+        if x.ndim == 0:  # a 0-d input gives a numpy scalar, as numpy arithmetic does
+            for f in (gelu_tanh, gelu, gelu_grad):
+                assert type(f(x)) is np.float64 and type(f(float(x))) is np.float64
+    assert same_bits(x, before) and same_bits(t, t_before)  # inputs are never written
 
 
 # --- initialization ---
@@ -151,6 +195,32 @@ def test_forward_batch_matches_single():
     for i in range(3):
         single, _ = mlp_forward(params, xs[i : i + 1])
         assert np.allclose(batch_out[i], single[0], atol=1e-14)
+
+
+def test_forward_cache_keeps_each_layers_input_preactivation_and_tanh():
+    x = Rng(3).uniform_range(-1.0, 1.0, 8).reshape(2, 4)
+    out, cache = mlp_forward(init_params(1), x)
+    layers = len(LAYER_SIZES) - 1
+    assert sorted(cache) == ["activations", "preacts", "tanhs"]
+    assert [len(cache[k]) for k in ("activations", "preacts", "tanhs")] == [layers + 1, layers, layers - 1]
+
+
+# tracemalloc peak of one check_mlp(0) call before GeLU and Adam computed in
+# place (numpy 2.4, Python 3.11). check_mlp runs the forward pass on stacks
+# of 64 perturbed weight matrices, where each array the forward cache keeps
+# per layer costs 0.5 MB, so a cache that kept more would exceed this bound.
+CHECK_MLP_PEAK_BYTES = 4_471_216
+
+
+def test_check_mlp_peak_memory_is_no_higher_than_before():
+    check_mlp(0)  # first-call allocations (imports, caches) are not the check's own
+    tracemalloc.start()
+    try:
+        check_mlp(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHECK_MLP_PEAK_BYTES
 
 
 def test_forward_rejects_bad_width():
@@ -340,6 +410,35 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit(widths, steps, lr, w
         reference.step(layers, grads)
     assert same_bits(flat, flatten(layers))
     assert same_bits(flat_opt.m, flatten(reference.m)) and same_bits(flat_opt.v, flatten(reference.v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 40),
+    # past step 356, 1 - beta1^t rounds to 1.0 and the bias correction of m drops out
+    steps=st.one_of(st.integers(1, 12), st.integers(350, 400)),
+    lr=st.floats(1e-5, 0.5),
+    weight_decay=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+    scale=st.sampled_from([1.0, 1e-300, 1e150, 1e200]),  # 1e200 overflows g^2
+    seed=st.integers(0, 2**32),
+)
+def test_in_place_adam_equals_the_out_of_place_reference(size, steps, lr, weight_decay, scale, seed):
+    rng = Rng(seed)
+    flat = rng.uniform_range(-2.0, 2.0, size)
+    expected = flat.copy()
+    optimizer = Adam(lr=lr, weight_decay=weight_decay)
+    reference = motion_reference.Adam(lr=lr, weight_decay=weight_decay)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            grad = rng.uniform_range(-2.0, 2.0, size) * scale
+            grad[rng.uniform(size) < 0.2] = 0.0
+            optimizer.step(flat, grad)
+            reference.step(expected, grad)
+            if optimizer.step_count == 1:
+                moments = optimizer.m, optimizer.v
+    assert same_bits(flat, expected)
+    assert same_bits(optimizer.m, reference.m) and same_bits(optimizer.v, reference.v)
+    assert optimizer.m is moments[0] and optimizer.v is moments[1]  # updated in place
 
 
 # --- losses over motions ---
@@ -669,6 +768,41 @@ def test_train_pt_matches_reference_bit_for_bit(batch, seed, lambda_small, weigh
         value = dataset_loss(model, triples, lam)
         assert abs(value - reference_dataset_loss(model, triples, lam)) <= 1e-12 * abs(value)
         assert same_bits(dataset_loss(None, triples, lam), reference_dataset_loss(None, triples, lam))
+
+
+def test_train_pt_with_a_partial_last_batch_matches_reference_bit_for_bit():
+    triples = varied_triples(seed=2)
+    assert len(triples) % 7 != 0  # batches of 7 leave a short last one
+    model = MotionPredictor.for_frame(240, 427, seed=3)
+    reference = MotionPredictor.for_frame(240, 427, seed=3)
+    args = dict(epochs=4, batch=7, lr=3e-3, lambda_small=2.0, weight_decay=0.0, seed=5)
+    assert same_bits(train_pt(model, triples, **args), reference_train_pt(reference, triples, **args))
+    assert same_bits(model.flat, flatten(reference.params))
+
+
+def test_train_pt_on_no_triples_keeps_the_weights_and_scores_zero():
+    model = MotionPredictor.for_frame(100, 100, seed=1)
+    before = model.flat.copy()
+    for empty in ([], np.zeros((0, 3, 4))):
+        assert train_pt(model, empty, epochs=3) == [0.0, 0.0, 0.0]
+    assert same_bits(model.flat, before)
+
+
+def test_train_pt_rejects_a_non_finite_prediction_or_row():
+    triples = varied_triples(seed=0)
+    model = MotionPredictor.for_frame(240, 427, seed=1)
+    model.flat[...] = 1e300  # the second layer's matmul overflows
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        train_pt(model, triples, epochs=1)
+    # a non-finite target or box is refused before any step
+    model = MotionPredictor.for_frame(240, 427, seed=1)
+    before = model.flat.copy()
+    for row, column in ((1, 0), (2, 3)):
+        bad = triples.copy()
+        bad[len(bad) - 1, row, column] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            train_pt(model, bad, epochs=1)
+        assert same_bits(model.flat, before)
 
 
 # sha256 of the float64 parameters (layer by layer, weight then bias) and of

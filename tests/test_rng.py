@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from voskit.rng import Rng
 
+import rng_reference
+
 
 def test_matches_reference_splitmix64_stream():
     # Golden vectors from the canonical C implementation
@@ -39,14 +41,44 @@ def test_uniform_range_and_determinism():
 
 def test_integers_inclusive_bounds():
     for seed in range(5):
-        vals = Rng(seed).integers(2, 5, 2000)
-        assert vals.min() >= 2 and vals.max() <= 5
-        assert set(np.unique(vals)) == {2, 3, 4, 5}
+        rng = Rng(seed)
+        vals = [rng.integer1(2, 5) for _ in range(2000)]
+        assert min(vals) >= 2 and max(vals) <= 5
+        assert set(vals) == {2, 3, 4, 5}
 
 
 def test_integers_rejects_empty_range():
+    rng = Rng(0)
     with pytest.raises(ValueError):
-        Rng(0).integers(5, 2, 1)
+        rng.integer1(5, 2)
+    assert rng.uint64(1).tolist() == Rng(0).uint64(1).tolist()  # no draw was spent
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    calls=st.lists(
+        st.one_of(
+            # (low, span - 1), small spans as synth draws them and wide ones
+            st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 9) | st.integers(0, 2**40 - 1)),
+            st.integers(0, 5),  # a uniform batch of that many draws in between
+        ),
+        max_size=30,
+    ),
+)
+def test_integer1_equals_the_numpy_stream(seed, calls):
+    """Python-int draws equal the numpy batch reference on one counter, with
+    uniform batches interleaved, for spans of 1 to 2^40."""
+    ours, reference = Rng(seed), Rng(seed)
+    for call in calls:
+        if isinstance(call, tuple):
+            low, extra = call
+            value = ours.integer1(low, low + extra)
+            expected = rng_reference.integers(reference, low, low + extra)[0]
+            assert type(value) is int and value == int(expected) and low <= value <= low + extra
+        else:
+            assert np.array_equal(ours.uniform(call), reference.uniform(call))
+    assert np.array_equal(ours.uint64(2), reference.uint64(2))
 
 
 def test_shuffle_is_a_permutation():

@@ -343,6 +343,39 @@ def test_compose_label_equals_stacked_argmax_reference(case):
         assert ch.dtype == before[oid].dtype and np.array_equal(ch, before[oid])
 
 
+# Per dtype, a few values that tie across channels and with the threshold;
+# every dtype here casts exactly to the promoted dtype of any mix of them.
+MIXED_VALUES = {
+    bool: [False, True],
+    np.uint8: [0, 1, 2],
+    np.int32: [-1, 0, 1],
+    np.float32: [0.0, 0.25, 0.5, 0.75, 1.0],
+    np.float64: [0.0, 0.3, *AROUND_THRESHOLD, 1.0],
+}
+
+
+@st.composite
+def mixed_dtype_channels(draw):
+    """(shape, channels) with 1-4 channels, each of its own dtype."""
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    ids = draw(st.lists(st.integers(1, 255), min_size=1, max_size=4, unique=True))
+    channels = {}
+    for oid in ids:
+        dtype = draw(st.sampled_from(list(MIXED_VALUES)))
+        values = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(MIXED_VALUES[dtype])))
+        channels[oid] = values.astype(dtype)
+    return shape, channels
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_dtype_channels())
+def test_compose_label_of_mixed_dtypes_equals_stacked_argmax_reference(case):
+    shape, channels = case
+    label = compose_label(channels, shape)
+    assert label.dtype == np.uint8
+    assert np.array_equal(label, tracker_reference.compose_label(channels, shape))
+
+
 def test_filter_labels_with_the_box_threshold():
     # A soft mask one ulp below MASK_THRESHOLD, at it, and one ulp above it:
     # only the pixels above it are boxed and labelled, and every labelled
