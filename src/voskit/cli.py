@@ -12,17 +12,25 @@ Exit codes: 0 success, 1 internal error (or failed gradcheck), 2 malformed
 input, 3 missing dependency input (e.g. the pt variant without weights).
 Every command is deterministic given its flags: rerunning writes the same
 bytes.
+
+The ``voskit`` command and ``python -m voskit.cli`` enter through
+:func:`run`, which ends the process without interpreter teardown once the
+atexit handlers have run and stdout and stderr are flushed; a profiler or
+coverage tracer still sees a normal exit. :func:`main` is the in-process
+API: it returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import errno
 import json
 import math
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -410,5 +418,40 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def _observed() -> bool:
+    """Whether something watches this process to its end: a tracer or
+    profiler, through sys.settrace or sys.setprofile or as a sys.monitoring
+    tool (as cProfile is from Python 3.12 on), or ``python -i``."""
+    if sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
+def run() -> NoReturn:
+    """Command-line entry: exit with the code of ``main()`` on sys.argv.
+
+    Every file a command writes is closed before ``main()`` returns, so once
+    the atexit handlers have run and stdout and stderr are flushed, tearing
+    the interpreter down would only free, one by one, objects that the
+    operating system reclaims at once; ``os._exit`` skips that. A watched
+    process, or one whose flush fails, exits through ``sys.exit`` instead,
+    so profilers and coverage write their results, ``python -i`` reaches its
+    prompt and a broken pipe is reported as usual.
+    """
+    code = main()
+    if not _observed():
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when its descriptor was closed at start-up
+                    stream.flush()
+        except OSError:  # a pipe whose reader has gone: teardown reports it
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -76,14 +76,30 @@ def _matched(points: np.ndarray, keys: np.ndarray, tol: int, shape: tuple[int, i
     x +- isqrt(tol^2 - dy^2) for some dy; columns are clipped to the frame
     so that a range never wraps into the next row. Rows are tried nearest
     first (dy = 0, -1, 1, -2, ...), where most points match, and the search
-    stops once every point has matched."""
+    stops once every point has matched. After the three nearest rows, the
+    points outside the keys' bounding box widened by tol are dropped: each
+    is farther than tol from every key along one axis, so none can match."""
+    if not len(keys):
+        return 0
     height, width = shape
     total = len(points)
     cols = points % width
     span = min(tol, height - 1)
-    for dy in sorted(range(-span, span + 1), key=abs):
+    for k, dy in enumerate(sorted(range(-span, span + 1), key=abs)):
         if not len(points):
             break
+        if k == 3:
+            # Not before: where almost every point matches within a row, as
+            # on filtered predictions, the filter only adds passes.
+            key_cols = keys % width
+            near = (
+                (points >= (keys[0] // width - tol) * width)
+                & (points < (keys[-1] // width + tol + 1) * width)
+                & (cols >= key_cols.min() - tol)
+                & (cols <= key_cols.max() + tol)
+            )
+            points, cols = points[near], cols[near]
+            total -= len(near) - len(points)
         reach = math.isqrt(tol * tol - dy * dy)
         row = points - cols + dy * width
         lo = row + np.maximum(cols - reach, 0)

@@ -68,12 +68,16 @@ class Rng:
     def uniform_range(self, low: float, high: float, n: int = 1) -> np.ndarray:
         return low + (high - low) * self.uniform(n)
 
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle; its n - 1 draws come in one batch."""
+    def shuffle(self, items) -> None:
+        """In-place Fisher-Yates shuffle of an array or list; its n - 1 draws
+        come in one batch, and the swaps run on a Python list that is then
+        written back."""
         spans = np.arange(len(items), 1, -1)  # i + 1 for i = n - 1, ..., 1
         picks = np.floor(self.uniform(len(spans)) * spans).astype(np.int64)
-        for i, j in zip(range(len(items) - 1, 0, -1), picks.tolist()):
-            items[i], items[j] = items[j], items[i]
+        order = items.tolist() if isinstance(items, np.ndarray) else list(items)
+        for i, j in zip(range(len(order) - 1, 0, -1), picks.tolist()):
+            order[i], order[j] = order[j], order[i]
+        items[:] = order
 
     def spawn(self, key: int) -> "Rng":
         """Independent child stream; deterministic in (seed, key)."""

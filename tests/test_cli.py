@@ -970,15 +970,17 @@ def test_transplant_bad_magic_exits_2(tmp_path):
 # pulled in, so only a new process shows what a command loads by itself.
 
 
-def fresh_interpreter(code, *args):
+SRC = os.path.dirname(os.path.dirname(voskit.__file__))
+
+
+def fresh_interpreter(code, *args, **options):
     """Run ``code`` with voskit's sources first on sys.path; ``args`` land in
-    sys.argv[1:]."""
-    src = os.path.dirname(os.path.dirname(voskit.__file__))
-    code = f"import sys; sys.path.insert(0, {src!r})\n{code}"
+    sys.argv[1:]. ``options`` go to subprocess.run, which captures stdout
+    and stderr as text unless they say otherwise."""
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}"
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *map(str, args)],
-        capture_output=True,
-        text=True,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **options},
     )
 
 
@@ -1133,6 +1135,133 @@ def test_eval_runs_with_scipy_blocked(built_corpus, tmp_path, capsys):
     assert run(["eval", built_corpus, built_corpus, "--report", in_process]) == EXIT_OK
     assert proc.stdout == capsys.readouterr().out
     assert blocked.read_bytes() == in_process.read_bytes()
+
+
+# --- the command-line entry: run() ---
+
+
+def cli_process(argv, cwd):
+    """``python -m voskit.cli argv`` in cwd, which ends through run()."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "voskit.cli", *map(str, argv)],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+
+
+def main_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this process, with
+    argparse's own exits caught."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_cli_process_writes_what_main_writes_in_process(tmp_path, monkeypatch, capsys):
+    # run() skips interpreter teardown, so every byte a stage writes must be
+    # out before it exits: the files, and stdout through a pipe, which is
+    # block-buffered. The same relative argv runs in two directories.
+    spawned, in_process = tmp_path / "spawned", tmp_path / "in_process"
+    for root in (spawned, in_process):
+        root.mkdir()
+        write_scene(root)
+    monkeypatch.chdir(in_process)
+    for argv in (
+        ["synth", "scene.json", "corpus", "--sequences", "2"],
+        ["filter", "corpus", "filtered", "--dump-overlay"],
+        ["eval", "filtered", "corpus", "--report", "report.csv"],
+    ):
+        proc = cli_process(argv, spawned)
+        result = main_in_process(argv, capsys)
+        assert (proc.returncode, proc.stdout, proc.stderr) == result
+        assert result[0] == EXIT_OK and result[1] and not result[2]
+    assert tree_bytes(spawned) == tree_bytes(in_process)
+    assert (spawned / "filtered" / "seq0001" / "overlays").is_dir()
+
+
+def test_cli_process_exits_with_the_code_main_gives(built_corpus, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv, code in (
+        (["eval", missing, missing], EXIT_INPUT),
+        (["filter", built_corpus, tmp_path / "f", "--variant", "pt"], EXIT_MISSING),
+        # argparse exits from inside main(), through SystemExit
+        (["gradcheck", "--seeds", "0"], EXIT_INPUT),
+    ):
+        proc = cli_process(argv, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == main_in_process(argv, capsys)
+        assert proc.returncode == code, proc.stderr
+
+
+# A module-level object whose finalizer reports on stdout, and an atexit
+# handler that does, registered before run().
+WITNESSES = (
+    "import atexit, os\n"
+    "atexit.register(print, 'atexit handler ran')\n"
+    "class Witness:\n"
+    "    def __del__(self, write=os.write):\n"
+    "        write(1, b'finalized\\n')\n"
+    "witness = Witness()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "watcher", ["", "sys.setprofile(lambda *event: None)", "sys.settrace(lambda *event: None)"]
+)
+def test_run_skips_teardown_unless_a_profiler_or_tracer_watches(watcher, tmp_path):
+    # Either way the atexit handlers run once. Unwatched, run() ends in
+    # os._exit, so nothing is finalized; under a profiler or tracer (as
+    # with cProfile or coverage) it exits normally, and teardown finalizes
+    # the witness.
+    missing = tmp_path / "missing"
+    proc = fresh_interpreter(
+        f"{WITNESSES}{watcher}\nfrom voskit.cli import run\nrun()", "eval", missing, missing
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == f"error: {missing}: not a directory\n"
+    assert proc.stdout == "atexit handler ran\n" + ("finalized\n" if watcher else "")
+
+
+def test_run_under_python_i_leaves_the_process_to_the_prompt(tmp_path):
+    # PYTHONINSPECT=1 is `python -i`: after the command the interpreter
+    # starts its prompt (here on an empty stdin), then tears down.
+    missing = tmp_path / "missing"
+    proc = fresh_interpreter(
+        f"{WITNESSES}from voskit.cli import run\nrun()", "eval", missing, missing,
+        env=dict(os.environ, PYTHONINSPECT="1"), stdin=subprocess.DEVNULL,
+    )
+    assert proc.stdout == "atexit handler ran\nfinalized\n", proc.stderr
+
+
+@pytest.mark.parametrize("stdout", ["reader gone", "descriptor closed"])
+def test_run_with_stdout_closed_exits_as_sys_exit_of_main_does(stdout, built_corpus):
+    # With the pipe's reader gone, the flush fails: run() falls back to
+    # sys.exit, and the interpreter reports the broken pipe as always (exit
+    # 120). With descriptor 1 closed at start-up, sys.stdout is None.
+    # PYTHONUNBUFFERED would make print fail inside main() instead.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    results = []
+    options = {} if stdout == "reader gone" else {"preexec_fn": lambda: os.close(1)}
+    for entry in ("run()", "sys.exit(main())"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = fresh_interpreter(
+                "import atexit\natexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
+                f"from voskit.cli import main, run\n{entry}",
+                "eval", built_corpus, built_corpus,
+                stdout=write_end, env=env, **options,
+            )
+        finally:
+            os.close(write_end)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == results[1]
+    code, err = results[0]
+    if stdout == "reader gone":
+        assert code == 120 and "BrokenPipeError" in err, err
+    else:
+        assert (code, err) == (EXIT_OK, "atexit handler ran\n")
 
 
 def test_version_flag(capsys):

@@ -158,6 +158,35 @@ def test_nearest_rows_first_matching_counts_equal_the_full_scan(case):
     assert _matched(*case) == reference_matched(*case)
 
 
+@st.composite
+def far_clusters(draw):
+    """A frame up to 80 px a side, keys inside one box and points in one to
+    four small clusters anywhere, so that whole clusters lie far outside the
+    keys' box; boxes touch the frame edge often. tol 0-20."""
+    height, width = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+
+    def box_pixels(side):
+        h, w = draw(st.integers(1, min(side, height))), draw(st.integers(1, min(side, width)))
+        y0 = draw(st.one_of(st.sampled_from([0, height - h]), st.integers(0, height - h)))
+        x0 = draw(st.one_of(st.sampled_from([0, width - w]), st.integers(0, width - w)))
+        pixel = st.builds(
+            lambda y, x: (y0 + y) * width + x0 + x, st.integers(0, h - 1), st.integers(0, w - 1)
+        )
+        return draw(st.sets(pixel, min_size=1, max_size=40))
+
+    keys = box_pixels(30)
+    points = set().union(*(box_pixels(6) for _ in range(draw(st.integers(1, 4)))))
+    tol = draw(st.integers(0, 20))
+    return (np.array(sorted(points), dtype=np.intp), np.array(sorted(keys), dtype=np.intp),
+            tol, (height, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_clusters())
+def test_matching_counts_with_clusters_far_from_the_keys_equal_the_full_scan(case):
+    assert _matched(*case) == reference_matched(*case)
+
+
 def test_contour_f_tolerance_beyond_the_frame_matches_everything():
     a = square((9, 14), 1, 1, 2)
     b = np.zeros((9, 14), dtype=bool)

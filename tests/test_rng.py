@@ -105,15 +105,29 @@ def reference_shuffle(rng: Rng, items) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 60), st.integers(0, 2**64 - 1))
-def test_shuffle_matches_one_draw_per_swap_reference(n, seed):
+@given(st.integers(0, 300), st.booleans(), st.integers(0, 2**64 - 1))
+def test_shuffle_matches_one_draw_per_swap_reference(n, as_array, seed):
+    # An int64 array or a list of n distinct values spread from the least
+    # int64 to the greatest.
+    values = [-(2**63) + k * (2**64 - 1) // max(n - 1, 1) for k in range(n)]
     a, b = Rng(seed), Rng(seed)
-    items, expected = np.arange(n), np.arange(n)
+    items = np.array(values, dtype=np.int64) if as_array else list(values)
+    expected = list(values)
     a.shuffle(items)
     reference_shuffle(b, expected)
-    assert np.array_equal(items, expected)
+    assert isinstance(items, np.ndarray) == as_array
+    assert list(items) == expected
     # both consumed the same draws, so the streams stay in step
     assert np.array_equal(a.uint64(2), b.uint64(2))
+
+
+def test_shuffle_of_a_2d_array_permutes_its_rows():
+    # Swapping rows as numpy views would copy one row over another; the
+    # swaps run on a list, so every row survives.
+    rows, order = np.arange(20).reshape(10, 2), np.arange(10)
+    Rng(3).shuffle(rows)
+    Rng(3).shuffle(order)
+    assert np.array_equal(rows, np.arange(20).reshape(10, 2)[order])
 
 
 def test_spawn_children_are_independent_and_deterministic():
