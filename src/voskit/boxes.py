@@ -1,4 +1,5 @@
-"""Axis-aligned boxes, frame-to-frame box motion, and box-shaped gating.
+"""Axis-aligned boxes, frame-to-frame box motion, box-shaped gating, and
+the pixel rules of masks: the foreground threshold and 4-neighbour erosion.
 
 Boxes use (x, y, w, h) in continuous pixel units: x is the left column edge,
 y the top row edge. An absent object is represented by ``None`` rather than a
@@ -68,6 +69,13 @@ def foreground(mask: np.ndarray) -> np.ndarray:
     """The boolean selection of a mask's pixels with ``value > MASK_THRESHOLD``;
     a boolean mask is its own selection."""
     return mask if mask.dtype == bool else mask > MASK_THRESHOLD
+
+
+def erode(mask: np.ndarray, edge: bool = False) -> np.ndarray:
+    """4-neighbour erosion of a boolean mask: a pixel stays set when it and
+    its four neighbours are set, neighbours beyond the frame reading as edge."""
+    p = np.pad(mask, 1, constant_values=edge)
+    return mask & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
 
 
 def bbox_from_mask(mask: np.ndarray) -> BBox | None:

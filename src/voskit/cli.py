@@ -26,7 +26,6 @@ import argparse
 import atexit
 import dataclasses
 import errno
-import json
 import math
 import os
 import sys
@@ -84,6 +83,8 @@ def _check_output_file(path) -> None:
 
 
 def _dump_json(data: dict, path) -> None:
+    import json
+
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -100,6 +101,8 @@ def _scene_int(text: str) -> int:
 
 
 def cmd_synth(args) -> int:
+    import json
+
     from . import synth
 
     # A scene error names the scene file, whether parsing or rendering meets it.
@@ -437,9 +440,17 @@ def run() -> NoReturn:
     operating system reclaims at once; ``os._exit`` skips that. A watched
     process, or one whose flush fails, exits through ``sys.exit`` instead,
     so profilers and coverage write their results, ``python -i`` reaches its
-    prompt and a broken pipe is reported as usual.
+    prompt and a broken pipe is reported as usual. An argparse exit inside
+    ``main()`` (``--version``, ``--help``, a rejected argument) ends the
+    same way as a return of its code; a ``SystemExit`` whose code is
+    neither an int nor None goes on through ``sys.exit``.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
     if not _observed():
         atexit._run_exitfuncs()
         try:

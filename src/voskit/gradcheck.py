@@ -11,9 +11,12 @@ batched: one call of the checked function scores a whole stack of perturbed
 copies of its input. The four loss checks share one pass per seed: one
 ``total_loss`` call scores each stack, and its ``terms`` give each term's
 value next to the sum's, so ``central_diff`` returns a row of four
-differences per direction and every stack is scored once. The error
-measure is relative where the gradient is meaningfully sized and absolute
-below a floor, so near-zero components cannot blow up the ratio.
+differences per direction and every stack is scored once. The MLP check
+runs one ``mlp_forward``, whose cache feeds the analytic gradient, and
+scores each stack of perturbed layer-i parameters from that cache's input
+of layer i with ``mlp_output``, which runs layers i.. and keeps no cache.
+The error measure is relative where the gradient is meaningfully sized and
+absolute below a floor, so near-zero components cannot blow up the ratio.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .motion_mlp import LAYER_SIZES, gelu, gelu_grad, mlp_backward, mlp_forward
+from .motion_mlp import LAYER_SIZES, gelu, gelu_grad, mlp_backward, mlp_forward, mlp_output
 from .rng import Rng
 
 FD_EPS = 1e-5
@@ -162,6 +165,18 @@ def sign_directions(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
     return directions
 
 
+def mlp_stack_score(params, cache, c: np.ndarray, i: int, name: str, stack: np.ndarray) -> np.ndarray:
+    """sum(output * c) of the batch that made ``mlp_forward``'s ``cache``,
+    with layer i's ``name`` ("weight" or "bias") replaced by each entry of
+    a stack; a bias entry broadcasts over the batch. The layers below i do
+    not see the stack, so their output is the cache's input of layer i, and
+    only layers i.. run, on the whole stack."""
+    if name == "bias":
+        stack = stack[:, None, :]
+    replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
+    return np.sum(mlp_output(replaced, cache["activations"][i], start=i) * c, axis=(-2, -1))
+
+
 def check_mlp(seed: int, size: int = 0) -> float:
     """FD check of the full backward pass on a batch of MLP_BATCH inputs.
     ``size`` is unused: the layer sizes fix every shape. Biases and the
@@ -170,9 +185,10 @@ def check_mlp(seed: int, size: int = 0) -> float:
     directions V: the central difference of the output in W +- FD_EPS*V
     against the analytic gradient's inner product with V.
 
-    Each stack of perturbed weights or biases replaces layer i's parameter
-    in one ``mlp_forward`` call: the layers below i run once, unstacked,
-    and layers i.. run on the whole stack."""
+    One ``mlp_forward`` call gives the analytic gradient's cache. Each stack
+    of perturbed weights or biases of layer i is scored by
+    ``mlp_stack_score``: layers i.. run on the whole stack from the cached
+    input of layer i, with no cache of their own."""
     params = _randomized_params(seed)
     rng = Rng(seed + 77)
     x = rng.uniform_range(-1.0, 1.0, MLP_BATCH * 4).reshape(MLP_BATCH, 4)
@@ -181,14 +197,6 @@ def check_mlp(seed: int, size: int = 0) -> float:
     _, cache = mlp_forward(params, x)
     analytic = mlp_backward(params, cache, c)
 
-    def score(i: int, name: str, stack: np.ndarray) -> np.ndarray:
-        """sum(output * c) with layer i's ``name`` replaced by each entry of
-        a stack; a bias entry broadcasts over the batch."""
-        if name == "bias":
-            stack = stack[:, None, :]
-        replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
-        return np.sum(mlp_forward(replaced, x)[0] * c, axis=(-2, -1))
-
     errors = []
     for i, layer in enumerate(params):
         for name in ("weight", "bias"):
@@ -196,7 +204,9 @@ def check_mlp(seed: int, size: int = 0) -> float:
             if name == "weight" and i not in (0, len(params) - 1):
                 directions = sign_directions(rng, grad.shape)
                 grad = directions.reshape(len(directions), -1) @ grad.reshape(-1)
-            numeric = central_diff(lambda v: score(i, name, v), layer[name], directions)
+            numeric = central_diff(
+                lambda v: mlp_stack_score(params, cache, c, i, name, v), layer[name], directions
+            )
             errors.append(max_err(grad, numeric))
     # np.max, not max(): a NaN error must fail the check, not vanish.
     return float(np.max(errors))

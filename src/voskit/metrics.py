@@ -21,7 +21,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import corpus
-from .boxes import bbox_from_mask, pixel_window
+from .boxes import bbox_from_mask, erode, pixel_window
 
 
 def _as_binary(mask: np.ndarray) -> np.ndarray:
@@ -48,13 +48,6 @@ def jaccard(pred: np.ndarray, gt: np.ndarray) -> float:
     if union == 0:
         return 1.0
     return np.count_nonzero(p & g) / union
-
-
-def erode(mask: np.ndarray, edge: bool = False) -> np.ndarray:
-    """4-neighbour erosion of a boolean mask: a pixel stays set when it and
-    its four neighbours are set, neighbours beyond the frame reading as edge."""
-    p = np.pad(mask, 1, constant_values=edge)
-    return mask & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
 
 
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:

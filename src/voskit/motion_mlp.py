@@ -22,6 +22,11 @@ dataset scoring make one call per batch. A training run checks its fixed
 targets and boxes once and each step's prediction only, and gathers each
 epoch's shuffled rows once, so its batches are slices.
 
+Two forwards run the same per-layer step. ``mlp_forward`` keeps the
+per-layer cache that ``mlp_backward`` reads, and training uses it.
+``mlp_output`` keeps none and can start at any layer; prediction and the
+gradient audit use it.
+
 A predictor keeps its ten parameter tensors in one contiguous float64 vector
 of PARAM_COUNT values, layer by layer, each layer's (fan_in, fan_out) weight
 row-major and then its bias. ``params`` holds views into that vector, and
@@ -132,28 +137,56 @@ def param_views(flat: np.ndarray) -> list[dict[str, np.ndarray]]:
     return layers
 
 
+def _layer(h: np.ndarray, layer, last: bool):
+    """One layer's step on its input ``h``: (pre-activation, GeLU tanh,
+    output). The output layer has no GeLU: its tanh is None and its output
+    is its pre-activation."""
+    z = h @ layer["weight"] + layer["bias"]
+    if last:
+        return z, None, z
+    t = gelu_tanh(z)
+    return z, t, gelu(z, t)
+
+
+def _batch(x, start: int = 0) -> np.ndarray:
+    """x as a float64 (n, LAYER_SIZES[start]) batch, the input of layer
+    ``start``."""
+    x = np.asarray(x, dtype=np.float64)
+    width = LAYER_SIZES[start]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"expected (n, {width}) inputs, got {x.shape}")
+    return x
+
+
 def mlp_forward(params, x: np.ndarray):
     """Forward pass over a (n, 4) batch. Returns (output, cache); the cache
     keeps each layer's input, pre-activation and GeLU tanh for the backward
-    pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0]:
-        raise ValueError(f"expected (n, {LAYER_SIZES[0]}) inputs, got {x.shape}")
-    activations = [x]
+    pass. ``mlp_output`` gives the same output and keeps no cache."""
+    h = _batch(x)
+    activations = [h]
     preacts = []
     tanhs = []
-    h = x
     last = len(params) - 1
     for i, layer in enumerate(params):
-        z = h @ layer["weight"] + layer["bias"]
+        z, t, h = _layer(h, layer, i == last)
         preacts.append(z)
-        if i == last:
-            h = z
-        else:
-            tanhs.append(gelu_tanh(z))
-            h = gelu(z, tanhs[-1])
+        if t is not None:
+            tanhs.append(t)
         activations.append(h)
     return h, {"activations": activations, "preacts": preacts, "tanhs": tanhs}
+
+
+def mlp_output(params, h: np.ndarray, start: int = 0) -> np.ndarray:
+    """The network's output for a (n, LAYER_SIZES[start]) batch ``h`` that
+    enters at layer ``start``, such as ``mlp_forward``'s cached input of
+    that layer: layers start.. run, and each step's arrays are dropped as
+    soon as the next layer has its input. With start 0 it is, to the bit,
+    ``mlp_forward``'s output."""
+    h = _batch(h, start)
+    last = len(params) - 1
+    for i in range(start, len(params)):
+        h = _layer(h, params[i], i == last)[2]
+    return h
 
 
 def mlp_backward(params, cache, grad_out: np.ndarray, out=None) -> list[dict[str, np.ndarray]]:
@@ -328,7 +361,7 @@ class MotionPredictor:
     def predict(self, motions: np.ndarray) -> np.ndarray:
         """Refined motions for an (n, 4) batch of raw motions."""
         with np.errstate(over="ignore"):  # gelu_tanh's cube overflows where tanh is exactly +-1
-            out, _ = mlp_forward(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
+            out = mlp_output(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
         return out * self.scale
 
     def predict_motion(self, motion: Motion) -> Motion:

@@ -29,9 +29,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .boxes import BBox, pixel_window
+from .boxes import BBox, erode, pixel_window
 from .corpus import InputError
-from .metrics import erode
 from .rng import Rng
 
 BLOB_VALUE = 0.9

@@ -1,13 +1,16 @@
 """Slow references for ``voskit.gradcheck``: the per-component
 finite-difference driver it ran before it batched perturbations, which the
 batched ``central_diff`` must equal bit for bit and which drives the FD
-tests; and the per-loss check it ran before one shared loss pass."""
+tests; the per-loss check it ran before one shared loss pass; and the
+whole-network scoring of a perturbed MLP stack that ``check_mlp`` ran
+before it started from the cached input of the perturbed layer."""
 
 import numpy as np
 
 from voskit import losses
 from voskit.gradcheck import FD_EPS, _random_instance, max_err
 from voskit.gradcheck import central_diff as batched_central_diff
+from voskit.motion_mlp import mlp_forward
 
 
 def central_diff(f, x: np.ndarray, eps: float = FD_EPS) -> np.ndarray:
@@ -45,3 +48,14 @@ def check_loss(name: str, seed: int, size: int) -> float:
     analytic = loss_fn(pred, target).grad
     numeric = batched_central_diff(lambda p: loss_fn(p, target).value, pred)
     return max_err(analytic, numeric)
+
+
+def full_network_score(params, x: np.ndarray, c: np.ndarray, i: int, name: str, stack: np.ndarray) -> np.ndarray:
+    """sum(output * c) with layer i's ``name`` replaced by each entry of a
+    stack, a bias entry broadcasting over the batch, from one
+    ``mlp_forward`` call of the whole network on the batch x: the layers
+    below i run unstacked, and a cache of every layer is built."""
+    if name == "bias":
+        stack = stack[:, None, :]
+    replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
+    return np.sum(mlp_forward(replaced, x)[0] * c, axis=(-2, -1))

@@ -1016,6 +1016,36 @@ def test_package_root_imports_no_submodule():
     assert proc.stdout.strip() == f"{voskit.__version__} []", proc.stderr
 
 
+def test_only_synth_loads_json(built_corpus, tmp_path):
+    # json serves synth's scene files alone: importing the CLI and running
+    # any other stage leaves it unloaded.
+    report = "print('json' in sys.modules)"
+    proc = fresh_interpreter(f"import voskit.cli\n{report}")
+    assert proc.stdout == "False\n", proc.stderr
+    run_main = f"from voskit.cli import main\ncode = main(sys.argv[1:])\n{report}\nsys.exit(code)"
+    for argv, loads_json in (
+        (["gradcheck", "--seeds", "1", "--size", "4"], False),
+        (["eval", built_corpus, built_corpus], False),
+        (["filter", built_corpus, tmp_path / "filtered"], False),
+        (["synth", write_scene(tmp_path), tmp_path / "corpus"], True),
+    ):
+        proc = fresh_interpreter(run_main, *argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads_json), argv
+
+
+def test_synth_leaves_metrics_unloaded(tmp_path):
+    # synth erodes masks through boxes.erode, so neither importing it nor
+    # running the stage compiles the scoring code.
+    proc = fresh_interpreter(f"import voskit.synth\n{LOADED_VOSKIT}")
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "voskit.synth" in loaded and "voskit.metrics" not in loaded, proc.stderr
+
+    proc, loaded = fresh_main(["synth", write_scene(tmp_path), tmp_path / "corpus"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert loaded == CLI_IMPORT_MODULES | {"voskit.synth", "voskit.boxes", "voskit.rng", "voskit.tracker"}
+
+
 CLI_IMPORT_MODULES = {"voskit", "voskit.cli", "voskit.corpus"}
 
 
@@ -1221,6 +1251,43 @@ def test_run_skips_teardown_unless_a_profiler_or_tracer_watches(watcher, tmp_pat
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr == f"error: {missing}: not a directory\n"
     assert proc.stdout == "atexit handler ran\n" + ("finalized\n" if watcher else "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--version"], EXIT_OK, f"voskit {voskit.__version__}\n", ""),
+        (["gradcheck", "--bogus"], EXIT_INPUT, "", "voskit: error: unrecognized arguments: --bogus\n"),
+    ],
+)
+def test_run_ends_an_argparse_exit_without_teardown(argv, code, out, err):
+    # argparse leaves main() through SystemExit. run() takes its code and
+    # ends as after a return: the same output and exit status as the
+    # interpreter's own exit, the atexit handlers once and no teardown.
+    ran, exited = (
+        fresh_interpreter(f"{WITNESSES}from voskit.cli import main, run\n{entry}", *argv)
+        for entry in ("run()", "sys.exit(main())")
+    )
+    assert ran.returncode == exited.returncode == code
+    assert ran.stderr == exited.stderr and ran.stderr.endswith(err), ran.stderr
+    assert ran.stdout == out + "atexit handler ran\n"
+    assert exited.stdout == out + "atexit handler ran\nfinalized\n"
+
+
+@pytest.mark.parametrize(
+    "exit_code, status, finalized", [("None", EXIT_OK, False), ("3", 3, False), ("'bye'", 1, True)]
+)
+def test_run_passes_a_system_exit_that_is_not_an_int_on_to_sys_exit(exit_code, status, finalized):
+    # An int or None code ends like a returned one; any other code (here a
+    # message) exits through the interpreter, which prints it.
+    proc = fresh_interpreter(
+        f"{WITNESSES}import voskit.cli\n"
+        f"def main(): raise SystemExit({exit_code})\n"
+        "voskit.cli.main = main\nvoskit.cli.run()"
+    )
+    assert proc.returncode == status
+    assert proc.stderr == ("bye\n" if exit_code == "'bye'" else "")
+    assert proc.stdout == "atexit handler ran\n" + ("finalized\n" if finalized else "")
 
 
 def test_run_under_python_i_leaves_the_process_to_the_prompt(tmp_path):

@@ -494,6 +494,69 @@ def test_check_mlp_exhaustive_parts_equal_per_component_reference(seed, monkeypa
     assert all(checked[part][0] == gradcheck.MLP_DIRECTIONS for part in hidden)
 
 
+@st.composite
+def perturbed_layer_stacks(draw):
+    """(params, batch, c, layer, name, stack): random MLP parameters, a
+    batch of 1-4 inputs, and the stack of 2m perturbed copies of one layer's
+    weight or bias that ``central_diff`` builds, along m unit directions
+    starting at a drawn component or along m random +-1 directions."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = gradcheck._randomized_params(seed)
+    rng = Rng(seed + 77)
+    n = draw(st.integers(1, 4))
+    x = rng.uniform_range(-1.0, 1.0, n * 4).reshape(n, 4)
+    c = rng.uniform_range(-1.0, 1.0, n * 4).reshape(n, 4)
+    layer = draw(st.integers(0, len(params) - 1))
+    name = draw(st.sampled_from(["weight", "bias"]))
+    value = params[layer][name]
+    m = draw(st.integers(1, gradcheck.FD_CHUNK))
+    if draw(st.booleans()):
+        directions = gradcheck.sign_directions(rng, value.shape)[:m]
+    else:
+        start = draw(st.integers(0, value.size - 1))
+        directions = np.eye(m, value.size, start).reshape(m, *value.shape)
+    stack = np.concatenate([value + gradcheck.FD_EPS * directions, value - gradcheck.FD_EPS * directions])
+    return params, x, c, layer, name, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_layer_stacks())
+def test_from_layer_scoring_equals_the_full_network_reference(case):
+    # Scoring a stack from the cached input of its layer, with no cache, gives
+    # what running the whole network on the batch gave, bit for bit.
+    params, x, c, layer, name, stack = case
+    _, cache = mlp_forward(params, x)
+    scores = gradcheck.mlp_stack_score(params, cache, c, layer, name, stack)
+    reference = fd_reference.full_network_score(params, x, c, layer, name, stack)
+    assert scores.shape == (len(stack),)
+    assert np.array_equal(scores, reference)
+
+
+def test_check_mlp_runs_each_stack_from_its_layer_on(monkeypatch):
+    # One mlp_forward per check, for the analytic gradient; every stacked
+    # forward enters at the perturbed layer with that layer's cached input,
+    # so none past layer 0 sees the 4-wide network input.
+    forwards, stacked = [], []
+    real_forward, real_output = gradcheck.mlp_forward, gradcheck.mlp_output
+
+    def forward(params, x):
+        forwards.append(np.shape(x))
+        return real_forward(params, x)
+
+    def output(params, h, start=0):
+        stacked.append((start, np.shape(h)))
+        return real_output(params, h, start)
+
+    monkeypatch.setattr(gradcheck, "mlp_forward", forward)
+    monkeypatch.setattr(gradcheck, "mlp_output", output)
+    gradcheck.check_mlp(0)
+    assert forwards == [(gradcheck.MLP_BATCH, 4)]
+    assert sorted({start for start, _ in stacked}) == list(range(len(gradcheck.LAYER_SIZES) - 1))
+    for start, shape in stacked:
+        assert shape == (gradcheck.MLP_BATCH, gradcheck.LAYER_SIZES[start])
+        assert start == 0 or shape[1] != 4
+
+
 # Defects of the analytic gradient of one hidden weight matrix: one entry off
 # by 10% or by 1% of the largest entry, one row off by 1%, and the matrix
 # transposed. On seeds 0, 3 and 11 a check of every seventh entry, offset by

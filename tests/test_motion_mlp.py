@@ -30,6 +30,7 @@ from voskit.motion_mlp import (
     init_params,
     mlp_backward,
     mlp_forward,
+    mlp_output,
     pt_loss,
     smooth_l1,
     train_pt,
@@ -242,6 +243,43 @@ def test_predict_motion_is_predict_of_a_one_row_batch():
         batch = model.predict(np.array([motion.as_tuple()]))
         assert batch.shape == (1, 4)
         assert same_bits(model.predict_motion(motion).as_tuple(), batch[0])
+
+
+def random_model(seed: int) -> MotionPredictor:
+    """A predictor of ``seed`` whose output layer is random, not zero."""
+    model = MotionPredictor.for_frame(120, 200, seed=seed)
+    rng = Rng(seed ^ 0xABC)
+    model.params[-1]["weight"][...] = rng.uniform_range(-0.5, 0.5, 256).reshape(64, 4)
+    model.params[-1]["bias"][...] = rng.uniform_range(-0.1, 0.1, 4)
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), spread=st.sampled_from([0.5, 20.0, 400.0]))
+def test_predict_is_mlp_forward_output_scaled_back(seed, n, spread):
+    # predict runs the forward that keeps no cache; its motions are those of
+    # the cached forward, to the bit.
+    model = random_model(seed)
+    motions = Rng(seed + 1).uniform_range(-spread, spread, n * 4).reshape(n, 4)
+    out, _ = mlp_forward(model.params, motions / model.scale)
+    assert same_bits(model.predict(motions), out * model.scale)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_mlp_output_from_each_cached_layer_input_equals_mlp_forward(seed, n):
+    params = random_model(seed).params
+    x = Rng(seed + 2).uniform_range(-3.0, 3.0, n * 4).reshape(n, 4)
+    out, cache = mlp_forward(params, x)
+    for start, h in enumerate(cache["activations"]):
+        assert same_bits(mlp_output(params, h, start), out)
+
+
+def test_mlp_output_rejects_an_input_of_the_wrong_width_for_its_layer():
+    params = init_params(0)
+    for start, bad in ((0, np.zeros((2, 64))), (1, np.zeros((2, 4))), (3, np.zeros(64))):
+        with pytest.raises(ValueError, match=re.escape(f"expected (n, {LAYER_SIZES[start]}) inputs")):
+            mlp_output(params, bad, start)
 
 
 def test_zero_init_network_outputs_zero_motion():
