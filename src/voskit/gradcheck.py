@@ -12,9 +12,9 @@ copies of its input. The four loss checks share one pass per seed: one
 ``total_loss`` call scores each stack, and its ``terms`` give each term's
 value next to the sum's, so ``central_diff`` returns a row of four
 differences per direction and every stack is scored once. The MLP check
-runs one ``mlp_forward``, whose cache feeds the analytic gradient, and
-scores each stack of perturbed layer-i parameters from that cache's input
-of layer i with ``mlp_output``, which runs layers i.. and keeps no cache.
+runs one ``mlp_forward`` that records the analytic gradient's cache, and
+scores each stack of perturbed layer-i parameters with the suffix network
+of layers i.., run on that cache's input of layer i and recording nothing.
 The error measure is relative where the gradient is meaningfully sized and
 absolute below a floor, so near-zero components cannot blow up the ratio.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .motion_mlp import LAYER_SIZES, gelu, gelu_grad, mlp_backward, mlp_forward, mlp_output
+from .motion_mlp import LAYER_SIZES, gelu, gelu_grad, mlp_backward, mlp_forward
 from .rng import Rng
 
 FD_EPS = 1e-5
@@ -166,15 +166,15 @@ def sign_directions(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def mlp_stack_score(params, cache, c: np.ndarray, i: int, name: str, stack: np.ndarray) -> np.ndarray:
-    """sum(output * c) of the batch that made ``mlp_forward``'s ``cache``,
+    """sum(output * c) of the batch whose ``mlp_forward`` recorded ``cache``,
     with layer i's ``name`` ("weight" or "bias") replaced by each entry of
     a stack; a bias entry broadcasts over the batch. The layers below i do
     not see the stack, so their output is the cache's input of layer i, and
-    only layers i.. run, on the whole stack."""
+    only the suffix network of layers i.. runs, on the whole stack."""
     if name == "bias":
         stack = stack[:, None, :]
-    replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
-    return np.sum(mlp_output(replaced, cache["activations"][i], start=i) * c, axis=(-2, -1))
+    suffix = [{**params[i], name: stack}, *params[i + 1 :]]
+    return np.sum(mlp_forward(suffix, cache[i][0]) * c, axis=(-2, -1))
 
 
 def check_mlp(seed: int, size: int = 0) -> float:
@@ -185,16 +185,17 @@ def check_mlp(seed: int, size: int = 0) -> float:
     directions V: the central difference of the output in W +- FD_EPS*V
     against the analytic gradient's inner product with V.
 
-    One ``mlp_forward`` call gives the analytic gradient's cache. Each stack
-    of perturbed weights or biases of layer i is scored by
+    One ``mlp_forward`` call records the analytic gradient's cache. Each
+    stack of perturbed weights or biases of layer i is scored by
     ``mlp_stack_score``: layers i.. run on the whole stack from the cached
-    input of layer i, with no cache of their own."""
+    input of layer i, and record nothing."""
     params = _randomized_params(seed)
     rng = Rng(seed + 77)
     x = rng.uniform_range(-1.0, 1.0, MLP_BATCH * 4).reshape(MLP_BATCH, 4)
     c = rng.uniform_range(-1.0, 1.0, MLP_BATCH * 4).reshape(MLP_BATCH, 4)
 
-    _, cache = mlp_forward(params, x)
+    cache = []
+    mlp_forward(params, x, cache)
     analytic = mlp_backward(params, cache, c)
 
     errors = []

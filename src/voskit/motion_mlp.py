@@ -22,10 +22,10 @@ dataset scoring make one call per batch. A training run checks its fixed
 targets and boxes once and each step's prediction only, and gathers each
 epoch's shuffled rows once, so its batches are slices.
 
-Two forwards run the same per-layer step. ``mlp_forward`` keeps the
-per-layer cache that ``mlp_backward`` reads, and training uses it.
-``mlp_output`` keeps none and can start at any layer; prediction and the
-gradient audit use it.
+One forward, ``mlp_forward``, runs any suffix of the layer list, which is
+a network of its own. It records the per-layer cache that ``mlp_backward``
+reads only into a list the caller passes: training passes one per batch,
+and prediction passes none, so each layer's arrays are freed as it ends.
 
 A predictor keeps its ten parameter tensors in one contiguous float64 vector
 of PARAM_COUNT values, layer by layer, each layer's (fan_in, fan_out) weight
@@ -137,71 +137,42 @@ def param_views(flat: np.ndarray) -> list[dict[str, np.ndarray]]:
     return layers
 
 
-def _layer(h: np.ndarray, layer, last: bool):
-    """One layer's step on its input ``h``: (pre-activation, GeLU tanh,
-    output). The output layer has no GeLU: its tanh is None and its output
-    is its pre-activation."""
-    z = h @ layer["weight"] + layer["bias"]
-    if last:
-        return z, None, z
-    t = gelu_tanh(z)
-    return z, t, gelu(z, t)
-
-
-def _batch(x, start: int = 0) -> np.ndarray:
-    """x as a float64 (n, LAYER_SIZES[start]) batch, the input of layer
-    ``start``."""
-    x = np.asarray(x, dtype=np.float64)
-    width = LAYER_SIZES[start]
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ValueError(f"expected (n, {width}) inputs, got {x.shape}")
-    return x
-
-
-def mlp_forward(params, x: np.ndarray):
-    """Forward pass over a (n, 4) batch. Returns (output, cache); the cache
-    keeps each layer's input, pre-activation and GeLU tanh for the backward
-    pass. ``mlp_output`` gives the same output and keeps no cache."""
-    h = _batch(x)
-    activations = [h]
-    preacts = []
-    tanhs = []
+def mlp_forward(params, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+    """The output of the network ``params`` for a (n, fan_in) batch x, where
+    fan_in is the first layer's: a suffix ``params[i:]`` is a network too,
+    whose input is layer i's. Given a list ``cache``, each layer appends its
+    (input, pre-activation, GeLU tanh) record to it for ``mlp_backward``;
+    the output layer has no GeLU, so its tanh is None. Without one, each
+    layer's arrays are dropped before the next layer's matmul."""
+    h = np.asarray(x, dtype=np.float64)
+    width = params[0]["weight"].shape[-2]
+    if h.ndim != 2 or h.shape[1] != width:
+        raise ValueError(f"expected (n, {width}) inputs, got {h.shape}")
     last = len(params) - 1
     for i, layer in enumerate(params):
-        z, t, h = _layer(h, layer, i == last)
-        preacts.append(z)
-        if t is not None:
-            tanhs.append(t)
-        activations.append(h)
-    return h, {"activations": activations, "preacts": preacts, "tanhs": tanhs}
-
-
-def mlp_output(params, h: np.ndarray, start: int = 0) -> np.ndarray:
-    """The network's output for a (n, LAYER_SIZES[start]) batch ``h`` that
-    enters at layer ``start``, such as ``mlp_forward``'s cached input of
-    that layer: layers start.. run, and each step's arrays are dropped as
-    soon as the next layer has its input. With start 0 it is, to the bit,
-    ``mlp_forward``'s output."""
-    h = _batch(h, start)
-    last = len(params) - 1
-    for i in range(start, len(params)):
-        h = _layer(h, params[i], i == last)[2]
+        z = h @ layer["weight"] + layer["bias"]
+        t = None if i == last else gelu_tanh(z)
+        if cache is not None:
+            cache.append((h, z, t))
+        h = z if t is None else gelu(z, t)
+        del z, t
     return h
 
 
 def mlp_backward(params, cache, grad_out: np.ndarray, out=None) -> list[dict[str, np.ndarray]]:
     """Gradients of sum(grad_out * output) w.r.t. every parameter, for the
-    (n, 4) ``grad_out`` of the batch that made ``cache``, written into and
-    returned as ``out``: {"weight", "bias"} layers such as ``param_views``
-    of a flat gradient vector (of a new one when not given)."""
+    (n, 4) ``grad_out`` of the batch whose forward recorded ``cache``,
+    written into and returned as ``out``: {"weight", "bias"} layers such as
+    ``param_views`` of a flat gradient vector (of a new one when not given)."""
     grads = param_views(np.empty(PARAM_COUNT)) if out is None else out
     delta = np.asarray(grad_out, dtype=np.float64)
     last = len(params) - 1
     for i in range(last, -1, -1):
+        h, z, t = cache[i]
         if i != last:
             # delta came from the previous iteration's matmul, so it is ours to scale
-            delta *= gelu_grad(cache["preacts"][i], cache["tanhs"][i])
-        np.matmul(cache["activations"][i].T, delta, out=grads[i]["weight"])
+            delta *= gelu_grad(z, t)
+        np.matmul(h.T, delta, out=grads[i]["weight"])
         np.add.reduce(delta, axis=0, out=grads[i]["bias"])
         if i > 0:
             delta = delta @ params[i]["weight"].T
@@ -361,7 +332,7 @@ class MotionPredictor:
     def predict(self, motions: np.ndarray) -> np.ndarray:
         """Refined motions for an (n, 4) batch of raw motions."""
         with np.errstate(over="ignore"):  # gelu_tanh's cube overflows where tanh is exactly +-1
-            out = mlp_output(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
+            out = mlp_forward(self.params, np.asarray(motions, dtype=np.float64) / self.scale)
         return out * self.scale
 
     def predict_motion(self, motion: Motion) -> Motion:
@@ -455,7 +426,8 @@ def train_pt(
         losses = np.empty(n)
         for start in range(0, n, batch):
             rows = slice(start, start + batch)
-            out, cache = mlp_forward(predictor.params, x[rows])
+            cache = []
+            out = mlp_forward(predictor.params, x[rows], cache)
             values, grad_pred = _pt_loss(
                 out * predictor.scale, target[rows], boxes[rows], areas[rows], lambda_small
             )

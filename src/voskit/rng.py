@@ -5,9 +5,9 @@ single integer seed, independent of platform, process or chunking of the
 draw calls. The generator here is SplitMix64 driven by a counter: draw i of
 stream `seed` is ``mix64(seed + (i + 1) * GOLDEN)``. Because each output
 depends only on (seed, i), draws can be produced one at a time or as numpy
-batches with identical results: a single integer draw runs the same
-arithmetic on Python ints masked to 64 bits instead of on a one-element
-array.
+batches with identical results: one mix, masked to 64 bits, runs on a
+uint64 array or on a Python int, so a single integer draw and a child
+stream's seed need no numpy scalar.
 
 Constants are the standard SplitMix64 ones (Steele, Lea & Flood).
 """
@@ -24,11 +24,12 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output mix of uint64 values; wraps modulo 2^64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z):
+    """SplitMix64's output mix of a uint64 array or of a Python int below
+    2^64; each product wraps modulo 2^64."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
 class Rng:
@@ -44,8 +45,7 @@ class Rng:
             raise ValueError("draw count must be >= 0")
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(np.uint64(self._seed) + idx * np.uint64(_GOLDEN))
+        return _mix64(self._seed + idx * _GOLDEN)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1), using the top 53 bits of each draw."""
@@ -59,10 +59,7 @@ class Rng:
         if high < low:
             raise ValueError("empty integer range")
         self._counter += 1
-        z = (self._seed + self._counter * _GOLDEN) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        z ^= z >> 31
+        z = _mix64((self._seed + self._counter * _GOLDEN) & _MASK)
         return low + math.floor((z >> 11) * 2.0**-53 * (high - low + 1))
 
     def uniform_range(self, low: float, high: float, n: int = 1) -> np.ndarray:
@@ -80,7 +77,5 @@ class Rng:
         items[:] = order
 
     def spawn(self, key: int) -> "Rng":
-        """Independent child stream; deterministic in (seed, key)."""
-        with np.errstate(over="ignore"):
-            child = _mix64(np.asarray(np.uint64(self._seed) + np.uint64(key) * np.uint64(_MIX2)))
-        return Rng(int(child))
+        """Independent child stream; deterministic in (seed, key mod 2^64)."""
+        return Rng(_mix64((self._seed + key * _MIX2) & _MASK))

@@ -54,8 +54,8 @@ def full_network_score(params, x: np.ndarray, c: np.ndarray, i: int, name: str, 
     """sum(output * c) with layer i's ``name`` replaced by each entry of a
     stack, a bias entry broadcasting over the batch, from one
     ``mlp_forward`` call of the whole network on the batch x: the layers
-    below i run unstacked, and a cache of every layer is built."""
+    below i run unstacked."""
     if name == "bias":
         stack = stack[:, None, :]
     replaced = [{**layer, name: stack} if j == i else layer for j, layer in enumerate(params)]
-    return np.sum(mlp_forward(replaced, x)[0] * c, axis=(-2, -1))
+    return np.sum(mlp_forward(replaced, x) * c, axis=(-2, -1))

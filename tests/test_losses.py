@@ -438,11 +438,12 @@ def reference_check_mlp(seed):
     rng = Rng(seed + 77)
     x = rng.uniform_range(-1.0, 1.0, gradcheck.MLP_BATCH * 4).reshape(gradcheck.MLP_BATCH, 4)
     c = rng.uniform_range(-1.0, 1.0, gradcheck.MLP_BATCH * 4).reshape(gradcheck.MLP_BATCH, 4)
-    _, cache = mlp_forward(params, x)
+    cache = []
+    mlp_forward(params, x, cache)
     analytic = mlp_backward(params, cache, c)
 
     def scalar():
-        value, _ = mlp_forward(params, x)
+        value = mlp_forward(params, x)
         return float(np.sum(value * c))
 
     eps = gradcheck.FD_EPS
@@ -522,10 +523,11 @@ def perturbed_layer_stacks(draw):
 @settings(max_examples=150, deadline=None)
 @given(perturbed_layer_stacks())
 def test_from_layer_scoring_equals_the_full_network_reference(case):
-    # Scoring a stack from the cached input of its layer, with no cache, gives
-    # what running the whole network on the batch gave, bit for bit.
+    # Scoring a stack from the cached input of its layer, recording nothing,
+    # gives what running the whole network on the batch gave, bit for bit.
     params, x, c, layer, name, stack = case
-    _, cache = mlp_forward(params, x)
+    cache = []
+    mlp_forward(params, x, cache)
     scores = gradcheck.mlp_stack_score(params, cache, c, layer, name, stack)
     reference = fd_reference.full_network_score(params, x, c, layer, name, stack)
     assert scores.shape == (len(stack),)
@@ -533,25 +535,25 @@ def test_from_layer_scoring_equals_the_full_network_reference(case):
 
 
 def test_check_mlp_runs_each_stack_from_its_layer_on(monkeypatch):
-    # One mlp_forward per check, for the analytic gradient; every stacked
-    # forward enters at the perturbed layer with that layer's cached input,
-    # so none past layer 0 sees the 4-wide network input.
-    forwards, stacked = [], []
-    real_forward, real_output = gradcheck.mlp_forward, gradcheck.mlp_output
+    # One recorded mlp_forward per check, for the analytic gradient; every
+    # stacked forward runs the suffix network from the perturbed layer on
+    # that layer's cached input, so none past layer 0 sees the 4-wide
+    # network input.
+    recorded, stacked = [], []
+    real_forward = gradcheck.mlp_forward
+    layers = len(gradcheck.LAYER_SIZES) - 1
 
-    def forward(params, x):
-        forwards.append(np.shape(x))
-        return real_forward(params, x)
-
-    def output(params, h, start=0):
-        stacked.append((start, np.shape(h)))
-        return real_output(params, h, start)
+    def forward(params, x, cache=None):
+        if cache is None:
+            stacked.append((layers - len(params), np.shape(x)))
+        else:
+            recorded.append((len(params), np.shape(x)))
+        return real_forward(params, x, cache)
 
     monkeypatch.setattr(gradcheck, "mlp_forward", forward)
-    monkeypatch.setattr(gradcheck, "mlp_output", output)
     gradcheck.check_mlp(0)
-    assert forwards == [(gradcheck.MLP_BATCH, 4)]
-    assert sorted({start for start, _ in stacked}) == list(range(len(gradcheck.LAYER_SIZES) - 1))
+    assert recorded == [(layers, (gradcheck.MLP_BATCH, 4))]
+    assert sorted({start for start, _ in stacked}) == list(range(layers))
     for start, shape in stacked:
         assert shape == (gradcheck.MLP_BATCH, gradcheck.LAYER_SIZES[start])
         assert start == 0 or shape[1] != 4

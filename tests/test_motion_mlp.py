@@ -30,7 +30,6 @@ from voskit.motion_mlp import (
     init_params,
     mlp_backward,
     mlp_forward,
-    mlp_output,
     pt_loss,
     smooth_l1,
     train_pt,
@@ -184,7 +183,7 @@ def test_forward_matches_loop_oracle():
     params[-1]["bias"] = rng.uniform_range(-0.1, 0.1, 4)
     for seed in range(5):
         x = Rng(seed).uniform_range(-1.0, 1.0, 4)
-        out, _ = mlp_forward(params, x[None, :])
+        out = mlp_forward(params, x[None, :])
         assert np.allclose(out[0], forward_loops(params, x), atol=1e-12)
 
 
@@ -192,18 +191,23 @@ def test_forward_batch_matches_single():
     params = init_params(2)
     params[-1]["weight"] = Rng(4).uniform_range(-0.5, 0.5, 256).reshape(64, 4)
     xs = Rng(5).uniform_range(-1, 1, 12).reshape(3, 4)
-    batch_out, _ = mlp_forward(params, xs)
+    batch_out = mlp_forward(params, xs)
     for i in range(3):
-        single, _ = mlp_forward(params, xs[i : i + 1])
+        single = mlp_forward(params, xs[i : i + 1])
         assert np.allclose(batch_out[i], single[0], atol=1e-14)
 
 
 def test_forward_cache_keeps_each_layers_input_preactivation_and_tanh():
     x = Rng(3).uniform_range(-1.0, 1.0, 8).reshape(2, 4)
-    out, cache = mlp_forward(init_params(1), x)
+    cache = []
+    out = mlp_forward(init_params(1), x, cache)
     layers = len(LAYER_SIZES) - 1
-    assert sorted(cache) == ["activations", "preacts", "tanhs"]
-    assert [len(cache[k]) for k in ("activations", "preacts", "tanhs")] == [layers + 1, layers, layers - 1]
+    assert len(cache) == layers
+    assert same_bits(cache[0][0], x)
+    for (_, z, t), (h, _, _) in zip(cache, cache[1:]):
+        assert same_bits(h, gelu(z, t))
+    assert [t is None for _, _, t in cache] == [False] * (layers - 1) + [True]
+    assert same_bits(cache[-1][1], out)
 
 
 # tracemalloc peak of one check_mlp(0) call before GeLU and Adam computed in
@@ -222,6 +226,28 @@ def test_check_mlp_peak_memory_is_no_higher_than_before():
     finally:
         tracemalloc.stop()
     assert peak <= CHECK_MLP_PEAK_BYTES
+
+
+def test_unrecorded_forward_frees_each_layers_arrays_before_the_next_matmul():
+    # A stack of 64 layer-1 weight matrices on a batch of 3 makes each
+    # layer-1 array, and each hidden one after it, (64, 3, 64): 98,304 B.
+    # A layer holds at most four of its input, matmul result, pre-activation,
+    # tanh and GeLU at a time (a peak of 4.0 of them); keeping the layer
+    # before's pre-activation and tanh alive into its matmul peaked at 5.7.
+    params = random_model(7).params
+    cache = []
+    mlp_forward(params, Rng(8).uniform_range(-1.0, 1.0, 12).reshape(3, 4), cache)
+    stack = params[1]["weight"] + Rng(9).uniform_range(-0.1, 0.1, 64 * 64 * 64).reshape(64, 64, 64)
+    suffix = [{**params[1], "weight": stack}, *params[2:]]
+    mlp_forward(suffix, cache[1][0])  # first-call allocations are not the forward's own
+    tracemalloc.start()
+    try:
+        out = mlp_forward(suffix, cache[1][0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (64, 3, 4)
+    assert peak < 4.5 * 64 * 3 * 64 * np.dtype(np.float64).itemsize
 
 
 def test_forward_rejects_bad_width():
@@ -257,29 +283,34 @@ def random_model(seed: int) -> MotionPredictor:
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), spread=st.sampled_from([0.5, 20.0, 400.0]))
 def test_predict_is_mlp_forward_output_scaled_back(seed, n, spread):
-    # predict runs the forward that keeps no cache; its motions are those of
-    # the cached forward, to the bit.
+    # predict records no cache; its motions are those of a forward that
+    # records one, to the bit.
     model = random_model(seed)
     motions = Rng(seed + 1).uniform_range(-spread, spread, n * 4).reshape(n, 4)
-    out, _ = mlp_forward(model.params, motions / model.scale)
+    out = mlp_forward(model.params, motions / model.scale, [])
     assert same_bits(model.predict(motions), out * model.scale)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-def test_mlp_output_from_each_cached_layer_input_equals_mlp_forward(seed, n):
+def test_each_suffix_network_on_its_cached_input_equals_mlp_forward(seed, n):
+    # The layers params[i:] run on the recorded input of layer i give the
+    # recorded output, and so does a forward that records nothing.
     params = random_model(seed).params
     x = Rng(seed + 2).uniform_range(-3.0, 3.0, n * 4).reshape(n, 4)
-    out, cache = mlp_forward(params, x)
-    for start, h in enumerate(cache["activations"]):
-        assert same_bits(mlp_output(params, h, start), out)
+    cache = []
+    out = mlp_forward(params, x, cache)
+    assert same_bits(mlp_forward(params, x), out)
+    for i, (h, _, _) in enumerate(cache):
+        assert same_bits(mlp_forward(params[i:], h), out)
 
 
-def test_mlp_output_rejects_an_input_of_the_wrong_width_for_its_layer():
+def test_each_suffix_network_rejects_an_input_of_the_wrong_width():
     params = init_params(0)
-    for start, bad in ((0, np.zeros((2, 64))), (1, np.zeros((2, 4))), (3, np.zeros(64))):
-        with pytest.raises(ValueError, match=re.escape(f"expected (n, {LAYER_SIZES[start]}) inputs")):
-            mlp_output(params, bad, start)
+    for i, width in enumerate(LAYER_SIZES[:-1]):
+        for bad in (np.zeros((2, 64 if width == 4 else 4)), np.zeros((2, width + 1)), np.zeros(width)):
+            with pytest.raises(ValueError, match=re.escape(f"expected (n, {width}) inputs")):
+                mlp_forward(params[i:], bad)
 
 
 def test_zero_init_network_outputs_zero_motion():
@@ -296,7 +327,8 @@ def test_zero_init_network_outputs_zero_motion():
 def test_backward_zero_upstream_gives_zero_grads():
     params = init_params(0)
     x = np.ones((1, 4))
-    _, cache = mlp_forward(params, x)
+    cache = []
+    mlp_forward(params, x, cache)
     grads = mlp_backward(params, cache, np.zeros((1, 4)))
     for g in grads:
         assert np.all(g["weight"] == 0.0) and np.all(g["bias"] == 0.0)
@@ -308,11 +340,12 @@ def test_backward_first_layer_fd_spot_check():
     params[-1]["weight"] = rng.uniform_range(-0.5, 0.5, 256).reshape(64, 4)
     x = rng.uniform_range(-1, 1, 4).reshape(1, 4)
     c = rng.uniform_range(-1, 1, 4).reshape(1, 4)
-    _, cache = mlp_forward(params, x)
+    cache = []
+    mlp_forward(params, x, cache)
     analytic = mlp_backward(params, cache, c)
 
     def scalar(_arr):
-        out, _ = mlp_forward(params, x)
+        out = mlp_forward(params, x)
         return float(np.sum(out * c))
 
     numeric_w0 = central_diff(scalar, params[0]["weight"])
@@ -328,17 +361,18 @@ def test_backward_with_cached_tanh_equals_recomputing_it():
     params[-1]["weight"] = Rng(6).uniform_range(-0.5, 0.5, 256).reshape(64, 4)
     x = Rng(7).uniform_range(-1, 1, 20).reshape(5, 4)
     c = Rng(8).uniform_range(-1, 1, 20).reshape(5, 4)
-    _, cache = mlp_forward(params, x)
-    assert len(cache["tanhs"]) == len(params) - 1
-    for z, t in zip(cache["preacts"], cache["tanhs"]):
+    cache = []
+    mlp_forward(params, x, cache)
+    assert sum(t is not None for _, _, t in cache) == len(params) - 1
+    for _, z, t in cache[:-1]:
         assert t.tobytes() == gelu_tanh(z).tobytes()
         assert gelu(z, t).tobytes() == gelu(z).tobytes()
     delta = c
     expected = [None] * len(params)
     for i in range(len(params) - 1, -1, -1):
+        a, z, _ = cache[i]
         if i != len(params) - 1:
-            delta = delta * gelu_grad(cache["preacts"][i])
-        a = cache["activations"][i]
+            delta = delta * gelu_grad(z)
         expected[i] = {"weight": a.T @ delta, "bias": delta.sum(axis=0)}
         delta = delta @ params[i]["weight"].T
     for got, want in zip(mlp_backward(params, cache, c), expected):
@@ -351,11 +385,13 @@ def test_backward_batch_is_sum_of_singles():
     params[-1]["weight"] = Rng(6).uniform_range(-0.5, 0.5, 256).reshape(64, 4)
     xs = Rng(7).uniform_range(-1, 1, 8).reshape(2, 4)
     cs = Rng(8).uniform_range(-1, 1, 8).reshape(2, 4)
-    _, cache = mlp_forward(params, xs)
+    cache = []
+    mlp_forward(params, xs, cache)
     batch = mlp_backward(params, cache, cs)
     singles = []
     for i in range(2):
-        _, c1 = mlp_forward(params, xs[i : i + 1])
+        c1 = []
+        mlp_forward(params, xs[i : i + 1], c1)
         singles.append(mlp_backward(params, c1, cs[i : i + 1]))
     for layer in range(len(params)):
         summed = singles[0][layer]["weight"] + singles[1][layer]["weight"]
@@ -748,7 +784,7 @@ def reference_dataset_loss(predictor, triples, lambda_small=2.0):
         if predictor is None:
             pred = t_in
         else:
-            out, _ = mlp_forward(predictor.params, t_in[None, :] / predictor.scale)
+            out = mlp_forward(predictor.params, t_in[None, :] / predictor.scale)
             pred = out[0] * predictor.scale
         value, _ = reference_pt_loss(pred, t_out, BBox(*prev), lambda_small)
         total += value
@@ -766,7 +802,8 @@ def reference_train_pt(predictor, triples, epochs, batch, lr, lambda_small, weig
         for start in range(0, len(order), batch):
             chunk = order[start : start + batch]
             x = np.stack([triples[i][0] for i in chunk]) / predictor.scale
-            out, cache = mlp_forward(predictor.params, x)
+            cache = []
+            out = mlp_forward(predictor.params, x, cache)
             grad_out = np.zeros_like(out)
             for row, idx in enumerate(chunk):
                 _, t_out, prev = triples[idx]

@@ -140,5 +140,19 @@ def test_spawn_children_are_independent_and_deterministic():
     assert np.array_equal(Rng(42).spawn(1).uint64(4), c1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, -1, 2**64 - 1, 2**64]), st.integers(), st.integers(-(2**80), 2**80)),
+    key=st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+def test_spawn_equals_the_numpy_scalar_reference(seed, key):
+    """Python-int spawning gives the child stream of the numpy-scalar
+    reference for seeds of any sign and size and keys in [0, 2^64)."""
+    child, expected = Rng(seed).spawn(key), rng_reference.spawn(Rng(seed), key)
+    assert type(child._seed) is int
+    assert np.array_equal(child.uint64(3), expected.uint64(3))
+    assert child.integer1(0, 2**40) == expected.integer1(0, 2**40)
+
+
 def test_different_seeds_differ():
     assert not np.array_equal(Rng(0).uint64(8), Rng(1).uint64(8))
