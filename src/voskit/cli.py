@@ -9,7 +9,9 @@ Subcommands:
   transplant  copy prefixed weights from one checkpoint into another
 
 Exit codes: 0 success, 1 internal error (or failed gradcheck), 2 malformed
-input, 3 missing dependency input (e.g. the pt variant without weights).
+input, or an input or output path the operating system refuses (any
+``OSError``), 3 missing dependency input (e.g. the pt variant without
+weights).
 Every command is deterministic given its flags: rerunning writes the same
 bytes.
 
@@ -71,15 +73,11 @@ def _fail(message: str) -> None:
 
 def _check_output_file(path) -> None:
     """Raise now the error that opening ``path`` for writing would raise
-    after all the work: it is a directory, or its parent directory is not."""
-    parent = os.path.dirname(os.path.abspath(path))
+    after all the work: its parent directory is one that the operating
+    system refuses to open, or it is a directory itself."""
+    os.scandir(os.path.dirname(path) or os.curdir).close()
     if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), str(path))
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _dump_json(data: dict, path) -> None:
@@ -128,7 +126,7 @@ def _write_synth_corpus(base, args) -> None:
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.sequences):
         cfg = dataclasses.replace(base, seed=base.seed + k)
-        seq_dir = os.path.join(args.out, f"{args.prefix}{k:04d}")
+        seq_dir = os.path.join(args.out, f"seq{k:04d}")
         gt_dir = os.path.join(seq_dir, corpus.GT_DIR)
         pred_dir = os.path.join(seq_dir, corpus.PRED_DIR)
         os.makedirs(gt_dir, exist_ok=True)
@@ -174,6 +172,8 @@ def cmd_filter(args) -> int:
 
     model = _load_predictor(args.weights) if args.variant == "pt" else None
     sequences = corpus.list_sequences(args.in_corpus)
+    # Joined with a sequence name, "" would put the output in the current directory.
+    os.makedirs(args.out_corpus, exist_ok=True)
     for seq in sequences:
         mask_dir = corpus.sequence_mask_dir(args.in_corpus, seq, "pred")
         id_list = corpus.label_ids(corpus.iter_mask_dir(mask_dir))
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sequences", type=_at_least(int, 1), default=1, help="sequence count (seeds step by 1)"
     )
-    p.add_argument("--prefix", default="seq", help="sequence directory name prefix")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("filter", help="gate predicted masks with tracked boxes")
@@ -407,13 +406,7 @@ def main(argv=None) -> int:
     except MissingInputError as exc:
         _fail(str(exc))
         return EXIT_MISSING
-    except (
-        corpus.InputError,
-        FileNotFoundError,
-        NotADirectoryError,
-        IsADirectoryError,
-        FileExistsError,
-    ) as exc:
+    except (corpus.InputError, OSError) as exc:
         _fail(str(exc))
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -675,6 +676,64 @@ def test_eval_and_train_pt_match_golden_digests(tmp_path, monkeypatch, capsys):
     assert digests == (EVAL_REPORT_DIGEST, TRAIN_PT_DIGEST, TRAIN_PT_LATE_IDS_DIGEST)
 
 
+# --- memory per frame ---
+
+# Two objects and four distractor blobs on three 480x854 frames, the DAVIS
+# frame size; `filter` gates frame 3 with the cv tracker.
+SCENE_480P = {
+    "height": 480,
+    "width": 854,
+    "frames": 3,
+    "seed": 4,
+    "objects": [
+        {"id": 1, "box": [120, 100, 60, 40], "motion": {"kind": "linear", "v": [4, 2]}},
+        {"id": 2, "box": [500, 260, 70, 50], "shape": "ellipse",
+         "motion": {"kind": "accelerating", "v": [-3, 1], "a": [1, 0]}},
+    ],
+    "corruption": {"blobs": 2, "blob_size": [30, 50], "min_distance": 60.0, "flip_prob": 0.02},
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_480p(tmp_path_factory):
+    root = tmp_path_factory.mktemp("480p")
+    assert run(["synth", write_scene(root, SCENE_480P), root / "src"]) == EXIT_OK
+    return root / "src"
+
+
+def traced_peak(argv):
+    """tracemalloc peak of ``main(argv)`` in bytes. The command runs once
+    untraced first, so that loading its modules is not counted."""
+    assert run(argv) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cv_filter_of_480p_frames_with_2_ids_allocates_under_9_bytes_per_pixel(
+    corpus_480p, tmp_path, capsys
+):
+    # The peak is that of the one cv-gated frame: its read, one boolean
+    # channel per id, the gated channels and the composed label, while the
+    # label of the frame before is still held. 3,470,239 B (8.47 per pixel)
+    # on numpy 2.4; a float64 channel would add 8 bytes per pixel per id.
+    out = tmp_path / "filtered"
+    peak = traced_peak(["filter", corpus_480p, out])
+    tracks = (out / "seq0000" / corpus.TRACKS_NAME).read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in tracks[-2:]] == ["cv", "cv"]
+    assert peak < 9 * 480 * 854, f"peak {peak:,} B"
+
+
+def test_corrupted_eval_of_480p_frame_pairs_allocates_under_9_bytes_per_pixel(corpus_480p, capsys):
+    # One prediction/ground-truth frame pair at a time: both reads and the
+    # per-object crops. 3,337,270 B (8.14 per pixel) on numpy 2.4.
+    peak = traced_peak(["eval", corpus_480p, corpus_480p])
+    assert peak < 9 * 480 * 854, f"peak {peak:,} B"
+
+
 # --- train-pt ---
 
 
@@ -888,13 +947,17 @@ def test_filter_has_no_threshold_option(tmp_path, monkeypatch, capsys):
         ["transplant", "--target", "adir", "--source", "w.tvck", "--prefix", "pt.", "--out", "o.tvck"],
         ["eval", "src", "src", "--report", "nodir/report.csv"],
         ["train-pt", "src", "--out", "nodir/w.tvck", "--epochs", "0"],
+        ["synth", "scene.json", "a" * 300],
+        ["synth", "scene.json", "loop/x"],
+        ["transplant", "--target", "loop", "--source", "w.tvck", "--prefix", "pt.", "--out", "o.tvck"],
     ],
 )
 def test_path_of_the_wrong_kind_exits_2(argv, built_corpus, tmp_path, monkeypatch, capsys):
     # A directory where a file is read or written, a file where the output
-    # directory goes, or a missing parent directory is malformed input, not
-    # an internal error. An output path is checked before any corpus is
-    # read, so a corpus scan that would fail must not be reached.
+    # directory goes, a missing parent directory, a name too long for the
+    # file system or a symlink loop is malformed input, not an internal
+    # error. An output path is checked before any corpus is read, so a
+    # corpus scan that would fail must not be reached.
     monkeypatch.chdir(tmp_path)
 
     def no_corpus_scan(root):
@@ -903,6 +966,7 @@ def test_path_of_the_wrong_kind_exits_2(argv, built_corpus, tmp_path, monkeypatc
     monkeypatch.setattr(corpus, "list_sequences", no_corpus_scan)
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("not a directory\n")
+    (tmp_path / "loop").symlink_to("loop")
     checkpoint.save(
         checkpoint.ParamStore.from_items(MotionPredictor.for_frame(60, 90, seed=1).param_items()),
         tmp_path / "w.tvck",
@@ -910,7 +974,35 @@ def test_path_of_the_wrong_kind_exits_2(argv, built_corpus, tmp_path, monkeypatc
     capsys.readouterr()
     assert run(argv) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "internal" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "src", "a" * 300 + "/out"],
+        ["filter", "src", "loop/out"],
+        ["filter", "src", ""],
+        ["train-pt", "src", "--out", "a" * 300, "--epochs", "0"],
+        pytest.param(
+            ["eval", "src", "src", "--report", "/dev/full"],
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
+def test_output_path_the_system_refuses_exits_2(argv, built_corpus, tmp_path, monkeypatch, capsys):
+    # `filter` lists its input before it makes its output directories,
+    # `train-pt` trains before it opens its output, and `eval` meets a full
+    # device only when it writes the report: each OSError on the way is
+    # still malformed input. An empty output path names no directory, not
+    # the current one.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop").symlink_to("loop")
+    capsys.readouterr()
+    assert run(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
+    assert not (tmp_path / "seq0000").exists()
 
 
 # --- transplant ---

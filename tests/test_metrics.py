@@ -557,3 +557,61 @@ def test_evaluate_sequence_streams_in_constant_memory():
     peak_small = streamed_peak(100)
     peak_large = streamed_peak(1000)
     assert peak_large / peak_small < 1.5, (peak_small, peak_large)
+
+
+# --- laws: each holds for the definition itself, with no reference ---
+
+SYMMETRIES = [
+    lambda m: m,
+    lambda m: np.rot90(m, 1),
+    lambda m: np.rot90(m, 2),
+    lambda m: np.rot90(m, 3),
+    np.fliplr,
+    np.flipud,
+    np.transpose,
+    lambda m: np.rot90(m, 1).T,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_pairs(), st.none() | st.integers(0, 6))
+def test_jaccard_and_contour_f_are_bit_equal_when_the_masks_swap(pair, tol):
+    pred, gt = pair
+    assert jaccard(pred, gt) == jaccard(gt, pred)
+    assert contour_f(pred, gt, tol) == contour_f(gt, pred, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_pairs(), st.none() | st.integers(0, 6))
+def test_jaccard_and_contour_f_are_bit_equal_under_the_8_flips_and_rotations(pair, tol):
+    # The default tolerance is a function of the frame diagonal, which no
+    # symmetry changes.
+    pred, gt = pair
+    j, f = jaccard(pred, gt), contour_f(pred, gt, tol)
+    for move in SYMMETRIES:
+        assert jaccard(move(pred), move(gt)) == j
+        assert contour_f(move(pred), move(gt), tol) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(bool, shapes), st.none() | st.integers(0, 6))
+def test_a_mask_scored_against_itself_scores_1(mask, tol):
+    assert jaccard(mask, mask) == 1.0
+    assert contour_f(mask, mask, tol) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_sequence_pairs(), st.lists(st.integers(1, 255), min_size=3, max_size=3, unique=True))
+def test_relabelling_ids_permutes_the_rows_of_evaluate_sequence(pair, new_ids):
+    # Ids 1, 2 and 7 go to three distinct nonzero ids; each object is
+    # scored on its own pixels only, so its rows keep their bits.
+    pred, gt = pair
+    lut = np.zeros(256, np.uint8)
+    lut[[1, 2, 7]] = new_ids
+    ev = evaluate_sequence(pred, gt)
+    relabelled = evaluate_sequence([lut[m] for m in pred], [lut[m] for m in gt])
+    moved = sorted((r.frame, int(lut[r.object_id]), r.j, r.f) for r in ev.rows)
+    assert [(r.frame, r.object_id, r.j, r.f) for r in relabelled.rows] == moved
+    # The means add the same per-object means in another order.
+    assert relabelled.mean_j == pytest.approx(ev.mean_j, rel=1e-12)
+    assert relabelled.mean_f == pytest.approx(ev.mean_f, rel=1e-12)
