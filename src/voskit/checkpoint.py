@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import InputError
+from .corpus import InputError, open_output
 
 MAGIC = b"TVCK"
 VERSION = 1
@@ -99,7 +99,7 @@ def save(store: ParamStore, path) -> None:
         entry = f"<H{len(encoded)}sB{value.ndim}I"
         blob += struct.pack(entry, len(encoded), encoded, value.ndim, *value.shape)
         blob += value.astype("<f4", copy=False).tobytes()
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(blob)
 
 

@@ -73,8 +73,10 @@ def _fail(message: str) -> None:
 
 def _check_output_file(path) -> None:
     """Raise now the error that opening ``path`` for writing would raise
-    after all the work: its parent directory is one that the operating
-    system refuses to open, or it is a directory itself."""
+    after all the work: it is empty, its parent directory is one that the
+    operating system refuses to open, or it is a directory itself."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     os.scandir(os.path.dirname(path) or os.curdir).close()
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -83,7 +85,7 @@ def _check_output_file(path) -> None:
 def _dump_json(data: dict, path) -> None:
     import json
 
-    with open(path, "w") as fh:
+    with corpus.open_output(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -132,7 +134,7 @@ def _write_synth_corpus(base, args) -> None:
         os.makedirs(gt_dir, exist_ok=True)
         os.makedirs(pred_dir, exist_ok=True)
         clipped = []
-        with open(os.path.join(seq_dir, corpus.TRACKS_NAME), "w", newline="") as fh:
+        with corpus.open_output(os.path.join(seq_dir, corpus.TRACKS_NAME), "w", newline="") as fh:
             track_log = csv.writer(fh)
             track_log.writerow(TRACK_CSV_HEADER)
             for t, (label, boxes, clipped_ids) in enumerate(synth.generate(cfg), start=1):
@@ -181,7 +183,7 @@ def cmd_filter(args) -> int:
         pred_out = os.path.join(seq_out, corpus.PRED_DIR)
         os.makedirs(pred_out, exist_ok=True)
 
-        with open(os.path.join(seq_out, corpus.TRACKS_NAME), "w", newline="") as fh:
+        with corpus.open_output(os.path.join(seq_out, corpus.TRACKS_NAME), "w", newline="") as fh:
             track_log = csv.writer(fh)
             track_log.writerow(TRACK_CSV_HEADER)
             if not id_list:
@@ -204,6 +206,7 @@ def cmd_filter(args) -> int:
                         corpus.write_pgm(
                             os.path.join(gate_dir, corpus.frame_name(out.frame)), overlay
                         )
+                del out  # the label is not held while the next frame is read and gated
     print(f"filtered {len(sequences)} sequence(s) to {args.out_corpus}")
     return EXIT_OK
 
@@ -222,10 +225,10 @@ def _eval_pairs(pred_root, gt_root):
 def cmd_eval(args) -> int:
     from . import metrics
 
-    if args.report:
+    if args.report is not None:
         _check_output_file(args.report)
     report = metrics.evaluate_corpus(_eval_pairs(args.pred_corpus, args.gt_corpus))
-    if args.report:
+    if args.report is not None:
         metrics.write_report_csv(report, args.report)
     for line in metrics.summary_lines(report):
         print(line)
@@ -305,6 +308,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_transplant(args) -> int:
     from . import checkpoint
 
+    _check_output_file(args.out)
     target = checkpoint.load(args.target)
     source = checkpoint.load(args.source)
     merged, report = checkpoint.transplant(

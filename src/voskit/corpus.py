@@ -9,7 +9,9 @@ and a `scene.json` config echo.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import re
 
 import numpy as np
 
@@ -28,6 +30,31 @@ class CorpusError(InputError):
     that do not line up frame for frame."""
 
 
+# The Netpbm PGM header: "P5", then width, height and maxval as runs of ASCII
+# digits. Whitespace or '#' comments that end at a newline come before each
+# number (none is needed before the width), and exactly one whitespace byte
+# after the maxval; the pixels start where the match ends.
+_SKIP = rb"(?:\s|#[^\n]*\n)"
+PGM_HEADER = re.compile(rb"P5" + _SKIP + rb"*(\d+)" + (_SKIP + rb"+(\d+)") * 2 + rb"\s")
+# A header that PGM_HEADER rejects because a '#' before its third number
+# starts a comment that no newline ends.
+_OPEN_COMMENT = re.compile(rb"P5" + _SKIP + rb"*(?:\d+(?!\d)" + _SKIP + rb"*){0,2}#[^\n]*\Z")
+
+
+@contextlib.contextmanager
+def open_output(path, mode="wb", **kwargs):
+    """``open(path, mode)`` for a file that a command writes. An OSError on
+    the way that names no file, such as a full device at the last flush, is
+    given ``path`` as its filename, so that its message names the file."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+
+
 def write_pgm(path, mask: np.ndarray) -> None:
     """Binary PGM (P5), maxval 255; pixel value = object id."""
     m = np.asarray(mask)
@@ -38,40 +65,9 @@ def write_pgm(path, mask: np.ndarray) -> None:
             raise ValueError("mask values must fit in a byte")
         m = m.astype(np.uint8)
     height, width = m.shape
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(m).data)
-
-
-def _read_header_tokens(blob: bytes, path) -> tuple[list[int], int]:
-    """PGM header after the magic: three integers, '#' comments allowed.
-    Returns (width, height, maxval) and the offset where pixel data starts."""
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(blob):
-            raise CorpusError(f"{path}: truncated PGM header")
-        c = blob[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            end = blob.find(b"\n", pos)
-            if end == -1:
-                raise CorpusError(f"{path}: unterminated comment in header")
-            pos = end + 1
-        elif c.isdigit():
-            start = pos
-            while pos < len(blob) and blob[pos : pos + 1].isdigit():
-                pos += 1
-            try:
-                tokens.append(int(blob[start:pos]))
-            except ValueError:  # more digits than int() converts
-                raise CorpusError(f"{path}: {pos - start}-digit number in PGM header") from None
-        else:
-            raise CorpusError(f"{path}: unexpected byte {c!r} in PGM header")
-    if pos >= len(blob) or not blob[pos : pos + 1].isspace():
-        raise CorpusError(f"{path}: missing whitespace after maxval")
-    return tokens, pos + 1
 
 
 def read_pgm(path) -> np.ndarray:
@@ -79,7 +75,16 @@ def read_pgm(path) -> np.ndarray:
         blob = fh.read()
     if blob[:2] != b"P5":
         raise CorpusError(f"{path}: not a binary PGM (bad magic {blob[:2]!r})")
-    (width, height, maxval), offset = _read_header_tokens(blob, path)
+    header = PGM_HEADER.match(blob)
+    if header is None:
+        problem = "unterminated comment in" if _OPEN_COMMENT.match(blob) else "malformed PGM"
+        raise CorpusError(f"{path}: {problem} header")
+    try:
+        width, height, maxval = map(int, header.groups())
+    except ValueError:  # more digits than int() converts
+        longest = max(map(len, header.groups()))
+        raise CorpusError(f"{path}: {longest}-digit number in PGM header") from None
+    offset = header.end()
     if not (0 < maxval <= 255):
         raise CorpusError(f"{path}: unsupported maxval {maxval}")
     if width < 1 or height < 1:

@@ -241,7 +241,7 @@ def evaluate_corpus(pairs) -> EvalReport:
 
 def write_report_csv(report: EvalReport, path) -> None:
     """Per-frame score rows as `sequence,object,frame,J,F`."""
-    with open(path, "w", newline="") as fh:
+    with corpus.open_output(path, "w", newline="") as fh:
         fh.write("sequence,object,frame,J,F\n")
         for name in sorted(report.sequences):
             for row in report.sequences[name].rows:

@@ -16,9 +16,12 @@ before a motion exists). If gating empties an object's mask, the frame falls
 back to the ungated mask for that object and the motion history is reset, so
 the track re-acquires instead of dying.
 
-``filter_stream`` is the real implementation and holds only per-object box
-state; memory is O(frame size + objects), independent of sequence length.
-``run_filter`` materializes the stream for convenience.
+``filter_stream`` is the real implementation. Across frames it keeps only
+per-object box state, so memory does not grow with sequence length; within
+a frame it holds each object's input and gated channel, O(objects x frame
+size). ``voskit filter`` feeds one boolean channel per id of a label frame:
+one 480x854 frame with 255 ids peaks at 314 MB under tracemalloc, 2.9 MB
+with 2 ids. ``run_filter`` materializes the stream for convenience.
 """
 
 from __future__ import annotations

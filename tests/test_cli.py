@@ -713,18 +713,19 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_cv_filter_of_480p_frames_with_2_ids_allocates_under_9_bytes_per_pixel(
+def test_cv_filter_of_480p_frames_with_2_ids_allocates_under_8_bytes_per_pixel(
     corpus_480p, tmp_path, capsys
 ):
     # The peak is that of the one cv-gated frame: its read, one boolean
-    # channel per id, the gated channels and the composed label, while the
-    # label of the frame before is still held. 3,470,239 B (8.47 per pixel)
-    # on numpy 2.4; a float64 channel would add 8 bytes per pixel per id.
+    # channel per id, the gated channels and the composed label.
+    # 3,071,588 B (7.49 per pixel) on numpy 2.4; holding the label of the
+    # frame before while it is read and gated took 3,470,239 B (8.47), and
+    # a float64 channel would add 8 bytes per pixel per id.
     out = tmp_path / "filtered"
     peak = traced_peak(["filter", corpus_480p, out])
     tracks = (out / "seq0000" / corpus.TRACKS_NAME).read_text().splitlines()
     assert [row.rsplit(",", 1)[1] for row in tracks[-2:]] == ["cv", "cv"]
-    assert peak < 9 * 480 * 854, f"peak {peak:,} B"
+    assert peak < 8 * 480 * 854, f"peak {peak:,} B"
 
 
 def test_corrupted_eval_of_480p_frame_pairs_allocates_under_9_bytes_per_pixel(corpus_480p, capsys):
@@ -1003,6 +1004,67 @@ def test_output_path_the_system_refuses_exits_2(argv, built_corpus, tmp_path, mo
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "internal" not in err
     assert not (tmp_path / "seq0000").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "src", "src", "--report", ""],
+        ["train-pt", "src", "--out", ""],
+        ["transplant", "--target", "w.tvck", "--source", "w.tvck", "--prefix", "pt.", "--out", ""],
+    ],
+)
+def test_empty_output_path_exits_2_before_any_input_is_read(
+    argv, built_corpus, tmp_path, monkeypatch, capsys
+):
+    # "" names no file, so neither a report nor weights can be written:
+    # the command says so before it reads a corpus or a checkpoint.
+    monkeypatch.chdir(tmp_path)
+
+    def no_input(path):
+        raise RuntimeError("an input was read before the output path was checked")
+
+    monkeypatch.setattr(corpus, "list_sequences", no_input)
+    monkeypatch.setattr(checkpoint, "load", no_input)
+    capsys.readouterr()
+    assert run(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["eval", "src", "src", "--report", "/dev/full"], None),
+        (["train-pt", "src", "--out", "/dev/full", "--epochs", "0"], None),
+        (["transplant", "--target", "w.tvck", "--source", "w.tvck", "--prefix", "pt.",
+          "--out", "/dev/full"], None),
+        (["synth", "scene.json", "out"], "out/seq0000/masks_gt/00001.pgm"),
+        (["synth", "scene.json", "out"], "out/seq0000/tracks.csv"),
+        (["synth", "scene.json", "out"], "out/seq0000/scene.json"),
+        (["filter", "src", "out"], "out/seq0000/masks_pred/00002.pgm"),
+        (["filter", "src", "out"], "out/seq0000/tracks.csv"),
+    ],
+)
+def test_a_write_to_a_full_device_names_its_file(
+    argv, target, built_corpus, tmp_path, monkeypatch, capsys
+):
+    # The device refuses the bytes only when they are flushed, and the
+    # OSError it raises then carries no file name of its own. An output
+    # that a command names inside its output directory is made a symlink
+    # to the full device.
+    monkeypatch.chdir(tmp_path)
+    checkpoint.save(
+        checkpoint.ParamStore.from_items(MotionPredictor.for_frame(60, 90, seed=1).param_items()),
+        tmp_path / "w.tvck",
+    )
+    if target is not None:
+        (tmp_path / target).parent.mkdir(parents=True)
+        (tmp_path / target).symlink_to("/dev/full")
+    capsys.readouterr()
+    assert run(argv) == EXIT_INPUT
+    name = target or "/dev/full"
+    assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: '{name}'\n"
 
 
 # --- transplant ---

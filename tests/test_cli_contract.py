@@ -7,7 +7,8 @@ report and nothing else. Hypothesis draws argv for every subcommand from
 the parser's own actions: tiny valid values, and malformed classes
 (numbers that are huge, negative, NaN, infinite, non-numeric or empty;
 paths that are missing, of the wrong kind, too long or looping; PGM,
-``.tvck`` and scene files cut short at a drawn byte). Each argv runs
+``.tvck`` and scene files cut short at a drawn byte; PGM headers broken
+in each of the ways that ``PGM_HEADER_MUTATIONS`` lists). Each argv runs
 through ``cli.main`` in this process with every warning an error, from a
 fresh directory that it must leave as it found it.
 
@@ -80,11 +81,29 @@ TEXT_DESTS = {("transplant", "prefix"): ["pt.", "pt.layer0.", "pt.layer9.", "", 
 PATH_CASES = {
     "scene": (["valid"], ["dir", "truncated", "pgm"]),
     "weights": (["valid"], ["dir", "truncated", "scene"]),
-    "corpus": (["valid"], ["file", "dir", "truncated", "short_pred", "sequence_dir"]),
+    "corpus": (["valid"], ["file", "dir", "truncated", "header", "short_pred", "sequence_dir"]),
     "out_dir": (["fresh", "nested"], ["file"]),
     "out_file": (["fresh"], ["dir", "dev_full"]),
 }
 BAD_PATHS = ["missing", "long", "long_parent", "long_total", "loop", "in_loop", "in_file", "empty"]
+
+# Ways to break the header of a PGM that write_pgm wrote, "P5\n<w> <h>\n255\n"
+# and pixels of ids 0 and 1, each with the problem that read_pgm reports.
+PGM_HEADER_MUTATIONS = {
+    "comment_without_newline": (
+        lambda data: b"P5\n# a comment that the file ends in",
+        "unterminated comment in header",
+    ),
+    "maxval_without_whitespace": (
+        lambda data: data.replace(b"\n255\n", b"\n255", 1),
+        "malformed PGM header",
+    ),
+    "5000_digit_width": (
+        lambda data: b"P5\n" + b"1" * 5000 + data[data.index(b" ") :],
+        "5000-digit number in PGM header",
+    ),
+    "stray_byte": (lambda data: data.replace(b"\n", b"\n-", 1), "malformed PGM header"),
+}
 
 
 def numbers(kind, dest, malformed):
@@ -110,7 +129,7 @@ def value(command, action, malformed=False):
             lambda case: st.tuples(
                 st.just(role),
                 st.just(case),
-                st.integers(0, 1 << 16) if case == "truncated" else st.just(0),
+                st.integers(0, 1 << 16) if case in ("truncated", "header") else st.just(0),
             )
         )
     if key in TEXT_DESTS:
@@ -164,7 +183,9 @@ def base(tmp_path_factory):
 
 
 def materialize(token, base, work):
-    """The path that a drawn token names; files it needs are made in ``work``."""
+    """The path that a drawn token names; files it needs are made in ``work``.
+    A "header" corpus has the first frame of each of its mask directories
+    broken by the mutation that ``cut`` picks."""
     role, case, cut = token
     work = Path(tempfile.mkdtemp(dir=work))
     valid = {"scene": base / "scene.json", "weights": base / "w.tvck", "corpus": base / "corpus"}
@@ -177,11 +198,15 @@ def materialize(token, base, work):
         path = work / valid[role].name
         path.write_bytes(data[: cut % len(data)])
         return path
-    if case in ("truncated", "short_pred"):
+    if case in ("truncated", "header", "short_pred"):
         path = work / "corpus"
         shutil.copytree(base / "corpus", path)
         if case == "short_pred":
             max(path.glob("seq0000/masks_pred/*.pgm")).unlink()
+        elif case == "header":
+            mutate, _ = list(PGM_HEADER_MUTATIONS.values())[cut % len(PGM_HEADER_MUTATIONS)]
+            for first in path.glob("seq0000/masks_*/00001.pgm"):
+                first.write_bytes(mutate(first.read_bytes()))
         else:
             frames = sorted(path.glob("seq0000/masks_*/*.pgm"))
             victim = frames[cut % len(frames)]
@@ -238,6 +263,10 @@ def test_every_argv_exits_0_2_or_3_without_a_traceback(command, data, base):
         os.chdir(cwd)
         shutil.rmtree(work)
     assert "Traceback" not in err and "error: internal" not in err, (argv, err)
+    if any(isinstance(p, tuple) and p[1] == "header" for p in drawn):
+        # Every command that reads the corpus stops at its first frame; only
+        # a pt filter without weights stops before, with exit 3.
+        assert code in (EXIT_INPUT, EXIT_MISSING), (argv, code, err)
     if code == EXIT_INTERNAL:
         assert command == "gradcheck" and "FAIL" in out and err == "", (argv, out, err)
     else:
@@ -246,6 +275,25 @@ def test_every_argv_exits_0_2_or_3_without_a_traceback(command, data, base):
         assert err == "", (argv, err)
     elif code != EXIT_INTERNAL and returned:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("mutation", sorted(PGM_HEADER_MUTATIONS))
+@pytest.mark.parametrize("command", ["filter", "eval", "train-pt"])
+def test_malformed_pgm_header_exits_2_with_one_error_line(command, mutation, base, tmp_path):
+    mutate, problem = PGM_HEADER_MUTATIONS[mutation]
+    corpus = tmp_path / "corpus"
+    shutil.copytree(base / "corpus", corpus)
+    for first in corpus.glob("seq0000/masks_*/00001.pgm"):
+        first.write_bytes(mutate(first.read_bytes()))
+    argv = {
+        "filter": ["filter", str(corpus), str(tmp_path / "out")],
+        "eval": ["eval", str(corpus), str(corpus)],
+        "train-pt": ["train-pt", str(corpus), "--out", str(tmp_path / "w.tvck"), "--epochs", "1"],
+    }[command]
+    code, returned, out, err = run_main(argv)
+    assert (code, returned, out) == (EXIT_INPUT, True, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"00001.pgm: {problem}\n"), err
 
 
 def test_every_argument_of_every_subcommand_is_drawn():

@@ -1,11 +1,14 @@
 import tempfile
 
+import corpus_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voskit import corpus
 from voskit.corpus import (
+    PGM_HEADER,
     CorpusError,
     frame_name,
     iter_mask_dir,
@@ -156,6 +159,103 @@ def test_byte_flipped_pgm_reads_or_raises_corpus_error(flips):
     except CorpusError:
         return
     assert mask.dtype == np.uint8 and mask.ndim == 2 and mask.size > 0
+
+
+HEADER_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"])
+HEADER_COMMENT = st.binary(max_size=4).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n")
+# Bytes that a header may meet where it wants whitespace or a digit: ones
+# that str.isspace, unlike bytes.isspace, counts as whitespace, signs, the
+# comment mark, a NUL, a high byte, and any byte at all.
+STRAY_BYTES = st.one_of(
+    HEADER_SPACE,
+    st.sampled_from([b"\x1c", b"\x1f", b"\x85", b"\xa0", b"-", b"+", b"#", b"\x00", b"\xff", b"7"]),
+    st.binary(min_size=1, max_size=1),
+)
+HEADER_SKIP = st.lists(st.one_of(HEADER_SPACE, HEADER_COMMENT), max_size=3)
+HEADER_SEPARATOR = st.lists(st.one_of(HEADER_SPACE, HEADER_COMMENT), min_size=1, max_size=3)
+DIGIT_RUN = st.text("0123456789", min_size=1, max_size=6).map(str.encode)
+
+
+@st.composite
+def pgm_headers(draw):
+    """A well-formed header with every kind of whitespace and comments
+    between its digit runs and a few payload bytes after it, then broken by
+    up to two stray bytes, each inserted between two of those parts, or
+    dropped bytes, and maybe truncated. Runs have at most 6 digits, well
+    within int()'s limit."""
+    parts = [b"P5", *draw(HEADER_SKIP), draw(DIGIT_RUN)]
+    for _ in range(2):
+        parts += [*draw(HEADER_SEPARATOR), draw(DIGIT_RUN)]
+    parts += [draw(HEADER_SPACE), draw(st.binary(max_size=8))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            parts.insert(draw(st.integers(1, len(parts))), draw(STRAY_BYTES))
+        else:
+            blob = b"".join(parts)
+            pos = draw(st.integers(2, len(blob)))
+            parts = [blob[:pos], blob[pos + 1 :]]
+    blob = b"".join(parts)
+    if draw(st.booleans()):
+        blob = blob[: draw(st.integers(2, len(blob)))]
+    return blob
+
+
+def scanned(blob):
+    """The reference scanner's (width, height, maxval, pixel offset), or
+    the problem that read_pgm reports for a header it rejects."""
+    try:
+        tokens, offset = corpus_reference.read_header_tokens(blob, "ref.pgm")
+    except CorpusError as exc:
+        return "unterminated comment in" if "unterminated" in str(exc) else "malformed PGM"
+    return (*tokens, offset)
+
+
+def matched(blob):
+    """``scanned`` from ``PGM_HEADER`` and the pattern that read_pgm tells an
+    unterminated comment by."""
+    if match := PGM_HEADER.match(blob):
+        return (*map(int, match.groups()), match.end())
+    return "unterminated comment in" if corpus._OPEN_COMMENT.match(blob) else "malformed PGM"
+
+
+@settings(max_examples=600, deadline=None)
+@given(pgm_headers())
+def test_header_pattern_reads_what_the_reference_scanner_reads(blob):
+    # The same accept or reject, the same (width, height, maxval) and the
+    # same pixel offset; a rejected header is an unterminated comment when
+    # the scanner says so, and malformed otherwise.
+    want = scanned(blob)
+    assert matched(blob) == want
+    if isinstance(want, str):
+        with pytest.raises(CorpusError, match=f"fuzz.pgm: {want} header$"):
+            _read_pgm_bytes(blob)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"P5 4 2 255 ", b"P5\n# c\n4\t2\r\n#\n255\n", b"P5#\n\v04\f2#x\n 255\t"],
+)
+def test_header_pattern_equals_the_scanner_after_every_one_byte_edit(header):
+    # Every byte value inserted at every position after the magic, every
+    # byte dropped, and every cut, on headers whose payload has no newline.
+    blob = header + bytes(range(11, 19))
+    edits = [blob[:pos] for pos in range(2, len(blob))]
+    for pos in range(2, len(header) + 1):
+        edits.append(blob[:pos] + blob[pos + 1 :])
+        edits += [blob[:pos] + bytes([byte]) + blob[pos:] for byte in range(256)]
+    for edit in edits:
+        assert matched(edit) == scanned(edit), edit
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"P5", b"P5 4 2", b"P5 4 2 255", b"P5 4 x2 255 ", b"P5 4 2 255#\n", b"P5 4 2 255\x1c"],
+)
+def test_pgm_rejects_a_malformed_header(tmp_path, blob):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(blob + bytes(8))
+    with pytest.raises(CorpusError, match=r"m\.pgm: malformed PGM header$"):
+        read_pgm(path)
 
 
 def test_pgm_converts_byte_range_values_and_rejects_others(tmp_path):

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import tracker_reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from voskit.boxes import MASK_THRESHOLD, BBox, attention_map
+from voskit.corpus import label_ids
 from voskit.tracker import (
     TRACK_CSV_HEADER,
     TrackRow,
@@ -444,6 +446,93 @@ def test_filter_stream_equals_reference(pt, frames, margin):
     assert filter_outcome(filter_stream(frames, model, margin)) == filter_outcome(
         tracker_reference.filter_stream(frames, model, margin)
     )
+
+
+# --- laws of the cv filter on label frames ---
+
+
+@st.composite
+def label_sequences(draw):
+    """uint8 label frames, up to 8 of them and up to 8x10, of up to three
+    ids drawn from 1..255. Each id is a rectangle that moves a few pixels
+    per frame, so that its track is gated, plus a few stray pixels that a
+    gate may clear; an id may be missing from a frame, and a later id
+    paints over an earlier one."""
+    height, width = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    ids = draw(st.lists(st.integers(1, 255), min_size=1, max_size=3, unique=True))
+    pixel = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    step = st.integers(-2, 2)
+    tracks = {oid: (draw(pixel), draw(step), draw(step)) for oid in ids}
+    frames = []
+    for t in range(draw(st.integers(1, 8))):
+        label = np.zeros((height, width), dtype=np.uint8)
+        for oid, ((y, x), vy, vx) in tracks.items():
+            if draw(st.sampled_from([True, True, True, False])):
+                y0, x0 = min(max(y + vy * t, 0), height - 1), min(max(x + vx * t, 0), width - 1)
+                label[y0 : y0 + draw(st.integers(1, 4)), x0 : x0 + draw(st.integers(1, 4))] = oid
+            for py, px in draw(st.lists(pixel, max_size=2)):
+                label[py, px] = oid
+        frames.append(label)
+    return frames
+
+
+def filter_labels(frames, margin):
+    """The cv filter as ``voskit filter`` runs it on label frames: one
+    boolean channel per id of the sequence. Each frame's label and track
+    rows."""
+    ids = label_ids(frames)
+    return [
+        (out.label, out.rows)
+        for out in filter_stream(({i: frame == i for i in ids} for frame in frames), None, margin)
+    ]
+
+
+MARGINS = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5]), st.floats(0.0, 0.5))
+NEW_IDS = st.lists(st.integers(1, 255), min_size=3, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_sequences(), MARGINS, NEW_IDS)
+def test_relabelling_ids_permutes_track_rows_and_label_values(frames, margin, new_ids):
+    ids = label_ids(frames)
+    assume(ids)
+    lut = np.zeros(256, dtype=np.uint8)
+    lut[ids] = new_ids[: len(ids)]
+    for (label, rows), (relabelled, new_rows) in zip(
+        filter_labels(frames, margin), filter_labels([lut[f] for f in frames], margin), strict=True
+    ):
+        np.testing.assert_array_equal(relabelled, lut[label])
+        moved = [dataclasses.replace(row, object_id=int(lut[row.object_id])) for row in rows]
+        assert new_rows == sorted(moved, key=lambda row: row.object_id)
+
+
+def shifted(box, dy, dx):
+    return None if box is None else dataclasses.replace(box, x=box.x + dx, y=box.y + dy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_sequences(), MARGINS, st.integers(-60, 60), st.integers(-60, 60))
+def test_translating_every_frame_translates_boxes_gates_and_labels(frames, margin, dy, dx):
+    # A predicted box, widened by a margin of at most 0.5, stays within
+    # five frame sizes of the frame's content, so a pad of five frame sizes
+    # plus the largest shift keeps every gate off the canvas edge.
+    assume(label_ids(frames))
+    height, width = frames[0].shape
+    pad = 5 * max(height, width) + 60
+
+    def placed(frame, oy, ox):
+        canvas = np.zeros((height + 2 * pad, width + 2 * pad), dtype=np.uint8)
+        canvas[pad + oy : pad + oy + height, pad + ox : pad + ox + width] = frame
+        return canvas
+
+    base = filter_labels([placed(f, 0, 0) for f in frames], margin)
+    moved = filter_labels([placed(f, dy, dx) for f in frames], margin)
+    for (label, rows), (moved_label, moved_rows) in zip(base, moved, strict=True):
+        np.testing.assert_array_equal(moved_label, np.roll(label, (dy, dx), axis=(0, 1)))
+        assert moved_rows == [
+            dataclasses.replace(row, box=shifted(row.box, dy, dx), gate=shifted(row.gate, dy, dx))
+            for row in rows
+        ]
 
 
 def write_track_csv(rows, path):
